@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace spider::cache {
@@ -41,7 +42,17 @@ TwoLayerSemanticCache::TwoLayerSemanticCache(std::size_t total_capacity,
     // clamp builds the same partition when passed at construction.
     imp_ratio = std::max(imp_ratio, kMinImpRatio);
     imp_ratio_.store(imp_ratio, std::memory_order_relaxed);
-    if (shards == kAutoShards) shards = auto_shards();
+    // Every shard must hold at least one item: a zero-capacity slice
+    // would silently refuse every admission for the ids hashing to it.
+    const std::size_t max_shards = std::max<std::size_t>(total_capacity_, 1);
+    if (shards == kAutoShards) {
+        shards = std::min(auto_shards(), max_shards);
+    } else if (shards > max_shards) {
+        throw std::invalid_argument{
+            "TwoLayerSemanticCache: " + std::to_string(shards) +
+            " shards exceed the " + std::to_string(total_capacity_) +
+            "-item budget (each shard needs at least one item)"};
+    }
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
         const std::size_t capacity = slice_capacity(total_capacity_, shards, s);

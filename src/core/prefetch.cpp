@@ -106,8 +106,9 @@ bool PrefetchPipeline::consume(std::uint32_t id) {
         failed_.erase(it);
         std::rethrow_exception(error);
     }
-    ready_.erase(id);
-    return true;
+    // Another consumer of the same id may have woken first and taken the
+    // entry (or its failure); only the entry's taker may skip the fetch.
+    return ready_.erase(id) > 0;
 }
 
 std::size_t PrefetchPipeline::discard_ready() {

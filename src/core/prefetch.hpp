@@ -92,6 +92,9 @@ public:
     /// is still in flight. Consumes the entry either way. If the fetch
     /// callback threw for `id`, that exception is rethrown here (the entry
     /// is consumed first, so the caller can fall back to a demand fetch).
+    /// When several callers wait on the same in-flight id, only the one
+    /// that takes the entry gets true (or the exception); the others get
+    /// false and must fetch on demand.
     bool consume(std::uint32_t id);
 
     /// True when `id` is currently issued-and-unconsumed (either state).

@@ -77,9 +77,11 @@ struct SpiderCacheConfig {
 
     /// Shard count of the two-layer cache. 1 (default) keeps the legacy
     /// single structure and its exact hit/miss/eviction sequence; 0 means
-    /// min(16, hw_concurrency). Use > 1 when several trainer workers call
-    /// lookup/on_miss_fetched concurrently (the data path is thread-safe
-    /// at any shard count; sharding is what makes it scale).
+    /// min(16, hw_concurrency, cache_items). An explicit count above
+    /// cache_items is rejected (every shard holds at least one item).
+    /// Use > 1 when several trainer workers call lookup/on_miss_fetched
+    /// concurrently (the data path is thread-safe at any shard count;
+    /// sharding is what makes it scale).
     std::size_t cache_shards = 1;
 
     /// Serve lookup/probe from the cache's seqlock residency view instead

@@ -7,7 +7,8 @@
 //   port = 7071            ; 0 = ephemeral
 //   max_pipeline = 64      ; frames serviced per connection per batch
 //   cache_items = 4096     ; server-wide budget, split across tenants
-//   cache_shards = 0       ; per-tenant shard count (0 = auto)
+//   cache_shards = 0       ; per-tenant shard count (0 = auto, at most
+//                          ; the tenant's slice; more is rejected)
 //   lockfree_reads = true
 //   tenants = 3
 //   capacity_pct = 50,30,20   ; default: even split of 100%

@@ -44,7 +44,8 @@ struct ServerConfig {
     std::size_t max_pipeline = 64;
     /// Server-wide cache budget in items, split across tenants.
     std::size_t cache_items = 4096;
-    /// Shard count per tenant cache (0 = auto).
+    /// Shard count per tenant cache (0 = auto: min(16, hw, tenant slice)).
+    /// An explicit count above a tenant's item slice is rejected.
     std::size_t cache_shards = 0;
     /// Seqlock read path on the tenant caches.
     bool lockfree_reads = true;

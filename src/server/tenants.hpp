@@ -47,7 +47,10 @@ public:
     /// @param specs        One entry per tenant; capacity_pct must sum to
     ///                     <= 100 (+epsilon). Throws std::invalid_argument
     ///                     otherwise, or when specs is empty / > 256.
-    /// @param shards       Shard count per tenant cache (0 = auto).
+    /// @param shards       Shard count per tenant cache (0 = auto:
+    ///                     min(16, hw, tenant slice)). An explicit count
+    ///                     above a tenant's item slice throws
+    ///                     std::invalid_argument.
     /// @param lockfree_reads  Seqlock read path on the tenant caches.
     TenantCacheManager(std::size_t total_items, std::vector<TenantSpec> specs,
                        std::size_t shards = 0, bool lockfree_reads = true);

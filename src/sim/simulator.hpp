@@ -97,8 +97,9 @@ struct SimConfig {
     std::size_t prefetch_window_max = 1024;
 
     /// Two-layer cache shards (kSpider strategies). 0 = auto: 1 shard when
-    /// worker_threads <= 1 (exact legacy semantics), min(16, hw) shards
-    /// otherwise. Any explicit value is used as-is.
+    /// worker_threads <= 1 (exact legacy semantics), min(16, hw, cache
+    /// items) shards otherwise. An explicit value above the cache's item
+    /// budget is rejected (every shard holds at least one item).
     std::size_t cache_shards = 0;
     /// Serve cache lookups/probes from the seqlock residency view instead
     /// of the shard mutex (DESIGN.md §8.4). Same hit/miss sequence either

@@ -434,6 +434,59 @@ TEST(PrefetchConcurrency, ConcurrentFetchExceptionsPropagateToConsumers) {
     pipeline.drain();
 }
 
+// The sampler draws with replacement, so two loader workers can wait on
+// the same in-flight id. Only the consumer that takes the entry may skip
+// its demand fetch; the other must see false, never a phantom "hidden".
+void run_two_waiters_on_one_id(bool fetch_fails) {
+    core::PrefetchPipeline::Config pc;
+    pc.threads = 1;
+    pc.max_in_flight = 4;
+    core::PrefetchPipeline* self = nullptr;
+    core::PrefetchPipeline pipeline{
+        [](std::uint32_t) { return false; },
+        [&self, fetch_fails](std::uint32_t) {
+            // Hold the fetch in flight until both consumers are blocked.
+            while (self->stats().waited < 2) std::this_thread::yield();
+            if (fetch_fails) throw std::runtime_error{"backend down"};
+        },
+        pc};
+    self = &pipeline;
+
+    std::vector<std::uint32_t> ids{42};
+    ASSERT_EQ(pipeline.prefetch(ids), 1U);
+    std::atomic<int> took{0};
+    std::atomic<int> threw{0};
+    std::atomic<int> declined{0};
+    std::vector<std::thread> consumers;
+    for (int t = 0; t < 2; ++t) {
+        consumers.emplace_back([&] {
+            try {
+                if (pipeline.consume(42)) {
+                    took.fetch_add(1);
+                } else {
+                    declined.fetch_add(1);
+                }
+            } catch (const std::runtime_error&) {
+                threw.fetch_add(1);
+            }
+        });
+    }
+    for (auto& th : consumers) th.join();
+    EXPECT_EQ(pipeline.stats().waited, 2U);
+    EXPECT_EQ(took.load(), fetch_fails ? 0 : 1);
+    EXPECT_EQ(threw.load(), fetch_fails ? 1 : 0);
+    EXPECT_EQ(declined.load(), 1);
+    pipeline.drain();
+}
+
+TEST(PrefetchConcurrency, ConcurrentWaitersOnFailedFetchOnlyOneClaims) {
+    run_two_waiters_on_one_id(/*fetch_fails=*/true);
+}
+
+TEST(PrefetchConcurrency, ConcurrentWaitersOnCompletedFetchOnlyOneClaims) {
+    run_two_waiters_on_one_id(/*fetch_fails=*/false);
+}
+
 TEST(PrefetchConcurrency, ConcurrentDrainRethrowsUnclaimedFailure) {
     core::PrefetchPipeline::Config pc;
     pc.threads = 2;

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/homophily_cache.hpp"
@@ -385,6 +386,37 @@ TEST(ShardParity, AutoShardsIsBoundedAndPositive) {
     EXPECT_LE(s, 16U);
     TwoLayerSemanticCache cache{64, 0.5, TwoLayerSemanticCache::kAutoShards};
     EXPECT_EQ(cache.num_shards(), s);
+}
+
+// A budget below auto_shards() must not leave shards with a zero slice:
+// such a shard refuses every admission for the ids hashing to it.
+TEST(ShardParity, AutoShardsNeverBuildsAnEmptyShard) {
+    for (const std::size_t budget : {1U, 2U, 3U}) {
+        TwoLayerSemanticCache cache{budget, 0.9,
+                                    TwoLayerSemanticCache::kAutoShards};
+        EXPECT_GE(cache.num_shards(), 1U) << "budget " << budget;
+        EXPECT_LE(cache.num_shards(), cache.total_capacity())
+            << "budget " << budget;
+        for (std::size_t s = 0; s < cache.num_shards(); ++s) {
+            EXPECT_GE(cache.shard_capacity(s), 1U)
+                << "budget " << budget << " shard " << s;
+        }
+        // Whichever shard an id hashes to, an empty cache admits it.
+        for (std::uint32_t id = 0; id < 32; ++id) {
+            TwoLayerSemanticCache fresh{budget, 0.9,
+                                        TwoLayerSemanticCache::kAutoShards};
+            EXPECT_TRUE(fresh.on_miss_fetched(id, 1.0).admitted)
+                << "budget " << budget << " id " << id;
+        }
+    }
+    TwoLayerSemanticCache one{1, 0.9, TwoLayerSemanticCache::kAutoShards};
+    EXPECT_EQ(one.num_shards(), 1U);
+}
+
+TEST(ShardParity, ExplicitShardsAboveBudgetAreRejected) {
+    EXPECT_THROW((TwoLayerSemanticCache{3, 0.5, 4}), std::invalid_argument);
+    TwoLayerSemanticCache exact{3, 0.5, 3};
+    EXPECT_EQ(exact.num_shards(), 3U);
 }
 
 }  // namespace
