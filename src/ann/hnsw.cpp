@@ -2,17 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace spider::ann {
+
+namespace {
+
+/// Per-thread copy of the last call's distance count
+/// (HnswIndex::last_call_distance_computations).
+thread_local std::uint64_t t_last_call_distances = 0;
+
+/// Cache lines of a stored vector worth prefetching ahead of a distance;
+/// past a few lines the hardware stream prefetcher has caught on.
+constexpr std::size_t kPrefetchBytes = 256;
+constexpr std::size_t kCacheLine = 64;
+
+}  // namespace
 
 HnswIndex::HnswIndex(HnswConfig config)
     : config_{config},
       level_lambda_{1.0 / std::log(static_cast<double>(std::max<std::size_t>(config.M, 2)))},
-      rng_{config.seed} {
+      rng_{config.seed},
+      squared_l2_{tensor::simd::active_kernels().squared_l2} {
     if (config_.dim == 0) throw std::invalid_argument{"HnswIndex: dim must be > 0"};
     if (config_.M < 2) throw std::invalid_argument{"HnswIndex: M must be >= 2"};
     if (config_.ef_construction < config_.M) {
@@ -24,12 +39,15 @@ HnswIndex::HnswIndex(HnswIndex&& other) noexcept
     : config_{other.config_},
       level_lambda_{other.level_lambda_},
       rng_{other.rng_},
+      squared_l2_{other.squared_l2_},
       nodes_{std::move(other.nodes_)},
+      points_{std::move(other.points_)},
       label_to_id_{std::move(other.label_to_id_)},
       entry_point_{other.entry_point_},
       max_level_{other.max_level_},
       empty_{other.empty_},
-      dist_comps_{other.dist_comps_.load(std::memory_order_relaxed)} {
+      dist_comps_{other.dist_comps_.load(std::memory_order_relaxed)},
+      writer_{std::move(other.writer_)} {
     // visit_pool_ / phase_mutex_ start fresh: a moved index has no
     // in-flight queries by precondition.
 }
@@ -39,15 +57,33 @@ HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
         config_ = other.config_;
         level_lambda_ = other.level_lambda_;
         rng_ = other.rng_;
+        squared_l2_ = other.squared_l2_;
         nodes_ = std::move(other.nodes_);
+        points_ = std::move(other.points_);
         label_to_id_ = std::move(other.label_to_id_);
         entry_point_ = other.entry_point_;
         max_level_ = other.max_level_;
         empty_ = other.empty_;
         dist_comps_.store(other.dist_comps_.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
+        writer_ = std::move(other.writer_);
     }
     return *this;
+}
+
+std::uint32_t HnswIndex::VisitTable::next_epoch() {
+    ++epoch;
+    if (epoch == 0) {  // wrapped: reset stamps
+        std::fill(stamp.begin(), stamp.end(), 0);
+        epoch = 1;
+    }
+    return epoch;
+}
+
+std::size_t HnswIndex::VisitTable::capacity_bytes() const {
+    return stamp.capacity() * sizeof(std::uint32_t) +
+           (to_visit.capacity() + best.capacity() + fresh.capacity()) *
+               sizeof(Candidate);
 }
 
 HnswIndex::VisitTable HnswIndex::VisitTablePool::acquire(std::size_t n) {
@@ -62,11 +98,7 @@ HnswIndex::VisitTable HnswIndex::VisitTablePool::acquire(std::size_t n) {
     if (table.stamp.size() < n) {
         table.stamp.resize(n, 0);
     }
-    ++table.epoch;
-    if (table.epoch == 0) {  // wrapped: reset stamps
-        std::fill(table.stamp.begin(), table.stamp.end(), 0);
-        table.epoch = 1;
-    }
+    table.distances = 0;
     return table;
 }
 
@@ -75,14 +107,37 @@ void HnswIndex::VisitTablePool::release(VisitTable&& table) {
     free_.push_back(std::move(table));
 }
 
+std::size_t HnswIndex::VisitTablePool::capacity_bytes() {
+    const std::lock_guard lock{mutex_};
+    std::size_t total = free_.capacity() * sizeof(VisitTable);
+    for (const VisitTable& table : free_) total += table.capacity_bytes();
+    return total;
+}
+
+std::uint64_t HnswIndex::last_call_distance_computations() {
+    return t_last_call_distances;
+}
+
 bool HnswIndex::contains(std::uint32_t label) const {
     const std::shared_lock lock{phase_mutex_};
     return label_to_id_.contains(label);
 }
 
-float HnswIndex::dist(std::span<const float> a, std::span<const float> b) const {
-    dist_comps_.fetch_add(1, std::memory_order_relaxed);
-    return tensor::squared_l2(a, b);  // Monotone in L2; sqrt only at the API edge.
+void HnswIndex::prefetch_point(std::uint32_t id) const {
+    const char* bytes = reinterpret_cast<const char*>(point(id));
+    const std::size_t len =
+        std::min(config_.dim * sizeof(float), kPrefetchBytes);
+    for (std::size_t off = 0; off < len; off += kCacheLine) {
+        __builtin_prefetch(bytes + off);
+    }
+}
+
+void HnswIndex::publish_distances(VisitTable& scratch) const {
+    t_last_call_distances = scratch.distances;
+    if (scratch.distances != 0) {
+        dist_comps_.fetch_add(scratch.distances, std::memory_order_relaxed);
+    }
+    scratch.distances = 0;
 }
 
 std::size_t HnswIndex::random_level() {
@@ -91,16 +146,20 @@ std::size_t HnswIndex::random_level() {
     return std::min<std::size_t>(level, 31);
 }
 
-std::uint32_t HnswIndex::greedy_closest(std::span<const float> query,
+std::uint32_t HnswIndex::greedy_closest(const float* query,
                                         std::uint32_t entry,
-                                        std::size_t layer) const {
+                                        std::size_t layer,
+                                        VisitTable& scratch) const {
     std::uint32_t current = entry;
-    float current_dist = dist(query, nodes_[current].point);
+    float current_dist = dist(query, point(current), scratch);
     bool improved = true;
     while (improved) {
         improved = false;
-        for (std::uint32_t neighbor : nodes_[current].links[layer]) {
-            const float d = dist(query, nodes_[neighbor].point);
+        const std::vector<std::uint32_t>& adjacency =
+            nodes_[current].links[layer];
+        for (std::uint32_t neighbor : adjacency) prefetch_point(neighbor);
+        for (std::uint32_t neighbor : adjacency) {
+            const float d = dist(query, point(neighbor), scratch);
             if (d < current_dist) {
                 current = neighbor;
                 current_dist = d;
@@ -111,60 +170,91 @@ std::uint32_t HnswIndex::greedy_closest(std::span<const float> query,
     return current;
 }
 
-std::vector<HnswIndex::Candidate> HnswIndex::search_layer(
-    std::span<const float> query, std::uint32_t entry, std::size_t ef,
-    std::size_t layer, VisitTable& visited) const {
-    // One lease covers a whole descent; a fresh epoch per layer resets the
+void HnswIndex::search_layer(const float* query, std::uint32_t entry,
+                             std::size_t ef, std::size_t layer,
+                             VisitTable& scratch) const {
+    // One table covers a whole call; a fresh epoch per layer resets the
     // visited set without touching memory.
-    std::vector<std::uint32_t>& stamp = visited.stamp;
-    ++visited.epoch;
-    if (visited.epoch == 0) {  // wrapped: reset stamps
-        std::fill(stamp.begin(), stamp.end(), 0);
-        visited.epoch = 1;
-    }
-    const std::uint32_t epoch = visited.epoch;
+    std::vector<std::uint32_t>& stamp = scratch.stamp;
+    const std::uint32_t epoch = scratch.next_epoch();
 
-    std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>
-        to_visit;  // min-heap by distance
-    std::priority_queue<Candidate> best;  // max-heap: worst of the ef best on top
+    // Binary heaps on the scratch buffers. Which of several equidistant
+    // candidates survives, and their final order, follow from exactly
+    // these push_heap/pop_heap calls and comparators; knn results are
+    // pinned to them (Hnsw.ChurnTraceMatchesParent).
+    std::vector<Candidate>& to_visit = scratch.to_visit;  // min-heap
+    std::vector<Candidate>& best = scratch.best;  // max-heap: worst on top
+    to_visit.clear();
+    best.clear();
+    const auto push_to_visit = [&to_visit](Candidate c) {
+        to_visit.push_back(c);
+        std::push_heap(to_visit.begin(), to_visit.end(), std::greater<>{});
+    };
+    const auto push_best = [&best](Candidate c) {
+        best.push_back(c);
+        std::push_heap(best.begin(), best.end(), std::less<>{});
+    };
 
-    const float entry_dist = dist(query, nodes_[entry].point);
-    to_visit.push({entry_dist, entry});
-    best.push({entry_dist, entry});
+    const float entry_dist = dist(query, point(entry), scratch);
+    push_to_visit({entry_dist, entry});
+    push_best({entry_dist, entry});
     stamp[entry] = epoch;
 
     while (!to_visit.empty()) {
-        const Candidate current = to_visit.top();
-        to_visit.pop();
-        if (current.distance > best.top().distance && best.size() >= ef) break;
+        const Candidate current = to_visit.front();
+        std::pop_heap(to_visit.begin(), to_visit.end(), std::greater<>{});
+        to_visit.pop_back();
+        if (current.distance > best.front().distance && best.size() >= ef) {
+            break;
+        }
 
-        for (std::uint32_t neighbor : nodes_[current.id].links[layer]) {
-            if (stamp[neighbor] == epoch) continue;
+        // Gather the unvisited neighbors (prefetching their rows), take
+        // all their distances, then offer them to the beam in adjacency
+        // order — the same decisions as one neighbor at a time, but the
+        // row loads overlap instead of each waiting behind a heap update.
+        // The gather is branchless: every neighbor is written, and the
+        // cursor advances only past unvisited ones.
+        const std::vector<std::uint32_t>& adjacency =
+            nodes_[current.id].links[layer];
+        std::vector<Candidate>& fresh = scratch.fresh;
+        fresh.resize(adjacency.size());
+        std::size_t count = 0;
+        for (std::uint32_t neighbor : adjacency) {
+            prefetch_point(neighbor);
+            fresh[count].id = neighbor;
+            count += stamp[neighbor] != epoch ? 1 : 0;
             stamp[neighbor] = epoch;
-            const float d = dist(query, nodes_[neighbor].point);
-            if (best.size() < ef || d < best.top().distance) {
-                to_visit.push({d, neighbor});
-                best.push({d, neighbor});
-                if (best.size() > ef) best.pop();
+        }
+        fresh.resize(count);
+        for (Candidate& c : fresh) {
+            c.distance = dist(query, point(c.id), scratch);
+        }
+        for (const Candidate& c : fresh) {
+            if (best.size() < ef || c.distance < best.front().distance) {
+                push_to_visit(c);
+                push_best(c);
+                if (best.size() > ef) {
+                    std::pop_heap(best.begin(), best.end(), std::less<>{});
+                    best.pop_back();
+                }
             }
         }
     }
 
-    std::vector<Candidate> result;
-    result.resize(best.size());
-    for (std::size_t i = best.size(); i-- > 0;) {
-        result[i] = best.top();
-        best.pop();
+    // Ascending by distance: the same pop sequence that draining the
+    // max-heap from the back would make.
+    for (auto end = best.end(); end - best.begin() > 1; --end) {
+        std::pop_heap(best.begin(), end, std::less<>{});
     }
-    return result;  // ascending by distance
 }
 
-std::vector<std::uint32_t> HnswIndex::select_neighbors(
-    std::span<const float> query, std::vector<Candidate> candidates,
-    std::size_t m) const {
+void HnswIndex::select_neighbors(std::vector<Candidate>& candidates,
+                                 std::size_t m,
+                                 std::vector<std::uint32_t>& selected,
+                                 VisitTable& scratch) const {
     std::sort(candidates.begin(), candidates.end());
-    std::vector<std::uint32_t> selected;
-    selected.reserve(m);
+    for (const Candidate& cand : candidates) prefetch_point(cand.id);
+    selected.clear();
     for (const Candidate& cand : candidates) {
         if (selected.size() >= m) break;
         // Keep only candidates closer to the query than to any kept
@@ -172,7 +262,7 @@ std::vector<std::uint32_t> HnswIndex::select_neighbors(
         bool keep = true;
         for (std::uint32_t kept : selected) {
             const float d_to_kept =
-                dist(nodes_[cand.id].point, nodes_[kept].point);
+                dist(point(cand.id), point(kept), scratch);
             if (d_to_kept < cand.distance) {
                 keep = false;
                 break;
@@ -183,32 +273,39 @@ std::vector<std::uint32_t> HnswIndex::select_neighbors(
     // Backfill with nearest rejected candidates if underfull (keeps graphs
     // connected in clustered data).
     if (selected.size() < m) {
+        // Membership by stamp: one load per candidate.
+        const std::uint32_t chosen = scratch.next_epoch();
+        for (std::uint32_t kept : selected) scratch.stamp[kept] = chosen;
         for (const Candidate& cand : candidates) {
             if (selected.size() >= m) break;
-            if (std::find(selected.begin(), selected.end(), cand.id) ==
-                selected.end()) {
+            if (scratch.stamp[cand.id] != chosen) {
+                scratch.stamp[cand.id] = chosen;
                 selected.push_back(cand.id);
             }
         }
     }
-    (void)query;
-    return selected;
 }
 
-void HnswIndex::link(std::uint32_t id,
-                     std::span<const std::uint32_t> neighbors,
-                     std::size_t layer) {
+void HnswIndex::link(std::uint32_t id, std::size_t layer) {
+    const std::vector<std::uint32_t>& neighbors = writer_.neighbors;
     auto& own_links = nodes_[id].links[layer];
+    // Set membership below is by stamp: a fresh epoch per set, members
+    // stamped with it (the writer's visited array is free between
+    // searches).
+    VisitTable& scratch = writer_.visit;
+    std::vector<std::uint32_t>& stamp = scratch.stamp;
     // Replace out-edges; maintain the targets' in-degree counters. An old
     // target whose in-degree would hit zero keeps its edge (appended past
     // the budget) — dropping a node's last in-edge would cut it off from
     // the directed search graph.
-    const std::vector<std::uint32_t> old_links = own_links;
-    std::vector<std::uint32_t> keep;
+    std::vector<std::uint32_t>& old_links = writer_.old_links;
+    std::vector<std::uint32_t>& keep = writer_.keep;
+    old_links.assign(own_links.begin(), own_links.end());
+    keep.clear();
+    const std::uint32_t in_new = scratch.next_epoch();
+    for (std::uint32_t target : neighbors) stamp[target] = in_new;
     for (std::uint32_t old_target : old_links) {
-        const bool in_new = std::find(neighbors.begin(), neighbors.end(),
-                                      old_target) != neighbors.end();
-        if (in_new) continue;  // still linked; count unchanged
+        if (stamp[old_target] == in_new) continue;  // still linked
         auto& count = nodes_[old_target].in_degree[layer];
         if (count <= 1) {
             keep.push_back(old_target);
@@ -218,10 +315,10 @@ void HnswIndex::link(std::uint32_t id,
     }
     own_links.assign(neighbors.begin(), neighbors.end());
     own_links.insert(own_links.end(), keep.begin(), keep.end());
+    const std::uint32_t was_old = scratch.next_epoch();
+    for (std::uint32_t target : old_links) stamp[target] = was_old;
     for (std::uint32_t target : neighbors) {
-        const bool was_old = std::find(old_links.begin(), old_links.end(),
-                                       target) != old_links.end();
-        if (!was_old) ++nodes_[target].in_degree[layer];
+        if (stamp[target] != was_old) ++nodes_[target].in_degree[layer];
     }
 
     for (std::uint32_t neighbor : neighbors) {
@@ -236,48 +333,53 @@ void HnswIndex::link(std::uint32_t id,
             // updated node's only in-edge) and (b) never prune an edge
             // that is its target's *last* in-edge anywhere: either would
             // make a node unreachable by the directed greedy search.
-            std::vector<Candidate> cands;
-            cands.reserve(back.size());
+            std::vector<Candidate>& cands = writer_.cands;
+            cands.clear();
+            const float* base = point(neighbor);
+            for (std::uint32_t other : back) prefetch_point(other);
             for (std::uint32_t other : back) {
-                cands.push_back(
-                    {dist(nodes_[neighbor].point, nodes_[other].point), other});
+                cands.push_back({dist(base, point(other), scratch), other});
             }
-            std::vector<std::uint32_t> pruned = select_neighbors(
-                nodes_[neighbor].point, std::move(cands), budget);
+            std::vector<std::uint32_t>& pruned = writer_.pruned;
+            select_neighbors(cands, budget, pruned, scratch);
             if (std::find(pruned.begin(), pruned.end(), id) == pruned.end()) {
                 pruned.back() = id;
             }
+            const std::uint32_t kept = scratch.next_epoch();
+            for (std::uint32_t target : pruned) stamp[target] = kept;
             for (std::uint32_t other : back) {
-                const bool kept = std::find(pruned.begin(), pruned.end(),
-                                            other) != pruned.end();
-                if (kept) continue;
+                if (stamp[other] == kept) continue;
                 auto& count = nodes_[other].in_degree[layer];
                 if (count <= 1) {
                     pruned.push_back(other);  // last in-edge: keep (overflow)
+                    stamp[other] = kept;
                 } else {
                     --count;
                 }
             }
-            back = std::move(pruned);
+            back.assign(pruned.begin(), pruned.end());
         }
     }
 }
 
 void HnswIndex::wire_node(std::uint32_t id) {
     const std::size_t node_level = nodes_[id].links.size() - 1;
-    std::span<const float> query = nodes_[id].point;
-    VisitLease lease{visit_pool_, nodes_.size()};
+    const float* query = point(id);
+    VisitTable& scratch = writer_.visit;
+    if (scratch.stamp.size() < nodes_.size()) {
+        scratch.stamp.resize(nodes_.size(), 0);
+    }
 
     std::uint32_t entry = entry_point_;
     // Descend through layers above the node's level greedily.
     for (std::size_t layer = max_level_; layer > node_level; --layer) {
-        entry = greedy_closest(query, entry, layer);
+        entry = greedy_closest(query, entry, layer, scratch);
     }
     // From min(max_level_, node_level) down to 0: beam-search and link.
     const std::size_t top = std::min(max_level_, node_level);
     for (std::size_t layer = top + 1; layer-- > 0;) {
-        std::vector<Candidate> candidates = search_layer(
-            query, entry, config_.ef_construction, layer, lease.table);
+        search_layer(query, entry, config_.ef_construction, layer, scratch);
+        std::vector<Candidate>& candidates = scratch.best;
         // Exclude self (present when rewiring an updated node).
         candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                         [id](const Candidate& c) {
@@ -286,9 +388,9 @@ void HnswIndex::wire_node(std::uint32_t id) {
                          candidates.end());
         if (!candidates.empty()) {
             entry = candidates.front().id;
-            const std::vector<std::uint32_t> neighbors = select_neighbors(
-                query, candidates, max_links(layer));
-            link(id, neighbors, layer);
+            select_neighbors(candidates, max_links(layer), writer_.neighbors,
+                             scratch);
+            link(id, layer);
         }
     }
 }
@@ -298,7 +400,12 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         throw std::invalid_argument{"HnswIndex::upsert: bad dimension"};
     }
     const std::unique_lock lock{phase_mutex_};  // writer phase: exclusive
+    upsert_locked(label, vec);
+    publish_distances(writer_.visit);
+}
 
+void HnswIndex::upsert_locked(std::uint32_t label,
+                              std::span<const float> vec) {
     if (auto it = label_to_id_.find(label); it != label_to_id_.end()) {
         // In-place update (the hnswlib updatePoint strategy): replace the
         // vector and rewire the node's *out*-links from a fresh descent,
@@ -307,7 +414,8 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         // current vectors — while removing it could disconnect the node
         // from the directed search graph entirely.
         const std::uint32_t id = it->second;
-        std::copy(vec.begin(), vec.end(), nodes_[id].point.begin());
+        // memmove: `vec` may be a vector_of() span onto this very row.
+        std::memmove(point(id), vec.data(), config_.dim * sizeof(float));
         if (nodes_.size() == 1) return;
         if (entry_point_ == id) {
             // Descend from another top node so the (moved) entry doesn't
@@ -336,11 +444,29 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         return;
     }
 
+    // Append the vector as row `id`. `vec` may point into points_ itself
+    // (a vector_of() span), which the growth below would free: remember
+    // it as a row offset instead.
+    const float* base = points_.data();
+    const bool aliased =
+        !points_.empty() && std::less_equal<>{}(base, vec.data()) &&
+        std::less<>{}(vec.data(), base + points_.size());
+    const std::size_t source_offset =
+        aliased ? static_cast<std::size_t>(vec.data() - base) : 0;
+    const std::size_t row = points_.size();
+    points_.resize(row + config_.dim);
+    std::copy_n(aliased ? points_.data() + source_offset : vec.data(),
+                config_.dim, points_.data() + row);
+
     Node node;
     node.label = label;
-    node.point.assign(vec.begin(), vec.end());
     const std::size_t level = empty_ ? 0 : random_level();
     node.links.resize(level + 1);
+    for (std::size_t l = 0; l <= level; ++l) {
+        // Room for a full list plus the one back-link that triggers a
+        // prune, so steady-state linking never reallocates.
+        node.links[l].reserve(max_links(l) + 1);
+    }
     node.in_degree.assign(level + 1, 0);
     const auto id = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(std::move(node));
@@ -366,24 +492,29 @@ std::vector<Neighbor> HnswIndex::knn(std::span<const float> query,
         throw std::invalid_argument{"HnswIndex::knn: bad dimension"};
     }
     const std::shared_lock lock{phase_mutex_};  // reader phase: shared
-    if (empty_ || k == 0) return {};
+    if (empty_ || k == 0) {
+        t_last_call_distances = 0;
+        return {};
+    }
 
     const std::size_t beam = std::max(ef == 0 ? config_.ef_search : ef, k);
     VisitLease lease{visit_pool_, nodes_.size()};
+    VisitTable& scratch = lease.table;
 
     std::uint32_t entry = entry_point_;
     for (std::size_t layer = max_level_; layer > 0; --layer) {
-        entry = greedy_closest(query, entry, layer);
+        entry = greedy_closest(query.data(), entry, layer, scratch);
     }
-    std::vector<Candidate> found =
-        search_layer(query, entry, beam, 0, lease.table);
+    search_layer(query.data(), entry, beam, 0, scratch);
 
+    const std::vector<Candidate>& found = scratch.best;
     std::vector<Neighbor> result;
     result.reserve(std::min(k, found.size()));
     for (const Candidate& c : found) {
         if (result.size() >= k) break;
         result.push_back({nodes_[c.id].label, std::sqrt(c.distance)});
     }
+    publish_distances(scratch);
     return result;
 }
 
@@ -392,7 +523,7 @@ std::optional<std::span<const float>> HnswIndex::vector_of(
     const std::shared_lock lock{phase_mutex_};
     const auto it = label_to_id_.find(label);
     if (it == label_to_id_.end()) return std::nullopt;
-    return std::span<const float>{nodes_[it->second].point};
+    return std::span<const float>{point(it->second), config_.dim};
 }
 
 std::size_t HnswIndex::degree(std::uint32_t label) const {
@@ -405,16 +536,24 @@ std::size_t HnswIndex::degree(std::uint32_t label) const {
 std::size_t HnswIndex::memory_bytes() const {
     const std::shared_lock lock{phase_mutex_};
     std::size_t total = sizeof(*this);
+    total += points_.capacity() * sizeof(float);
     for (const Node& node : nodes_) {
         total += sizeof(Node);
-        total += node.point.capacity() * sizeof(float);
         total += node.in_degree.capacity() * sizeof(std::uint32_t);
+        total += node.links.capacity() * sizeof(std::vector<std::uint32_t>);
         for (const auto& layer_links : node.links) {
             total += layer_links.capacity() * sizeof(std::uint32_t);
         }
     }
     total += label_to_id_.size() *
              (sizeof(std::uint32_t) * 2 + sizeof(void*));  // bucket estimate
+    // Search scratch: the writer's buffers and every pooled reader table.
+    total += writer_.visit.capacity_bytes() +
+             (writer_.neighbors.capacity() + writer_.old_links.capacity() +
+              writer_.keep.capacity() + writer_.pruned.capacity()) *
+                 sizeof(std::uint32_t) +
+             writer_.cands.capacity() * sizeof(Candidate);
+    total += visit_pool_.capacity_bytes();
     return total;
 }
 

@@ -8,14 +8,19 @@
 //
 // Thread-safety: reader/writer *phase* contract. Queries (knn, vector_of,
 // degree, contains) may run concurrently with each other — each holds a
-// shared lock, uses a pooled per-query visited buffer, and bumps only the
-// relaxed-atomic distance counter. upsert() is a writer: it takes the lock
-// exclusively, so interleaving upserts with queries is correct but
-// serializes. The intended shape (and what the batch scorer does) is
-// phased: an update phase of upserts, then a scoring phase that fans knn
-// across a thread pool. Spans returned by vector_of() point into the graph
-// and are invalidated by the next upsert, exactly like iterator
-// invalidation on a std::vector.
+// shared lock and uses a pooled per-query search scratch (visited stamps
+// and both beam heaps). upsert() is a writer: it takes the lock
+// exclusively and works in scratch the index owns, so interleaving
+// upserts with queries is correct but serializes. The intended shape (and
+// what the batch scorer does) is phased: an update phase of upserts, then
+// a scoring phase that fans knn across a thread pool. Spans returned by
+// vector_of() point into the index's vector array and are invalidated by
+// the next upsert, exactly like iterator invalidation on a std::vector.
+//
+// Memory layout: every vector lives in one contiguous `size() x dim` row
+// array indexed by internal id; nodes hold only their label and per-layer
+// adjacency. Distance work is counted per call and published once, before
+// the call returns (see distance_computations()).
 
 #include <atomic>
 #include <cstdint>
@@ -84,11 +89,18 @@ public:
     [[nodiscard]] std::size_t memory_bytes() const;
 
     /// Number of distance computations since construction (perf counters
-    /// for the microbench). Exact even under concurrent queries — the
-    /// counter is a relaxed atomic.
+    /// for the microbench). Every upsert/knn counts its distances locally
+    /// and adds the total with one relaxed atomic add before it returns,
+    /// so the value is exact whenever no call is in flight, and exact up
+    /// to whole calls while some are.
     [[nodiscard]] std::uint64_t distance_computations() const {
         return dist_comps_.load(std::memory_order_relaxed);
     }
+
+    /// Distance computations made by the most recent upsert or knn call
+    /// on the calling thread (on any index) — the per-call share of
+    /// distance_computations(). 0 before the thread's first call.
+    [[nodiscard]] static std::uint64_t last_call_distance_computations();
 
     // Binary persistence (ann/serialize.hpp).
     friend void save_index(const HnswIndex& index, std::ostream& os);
@@ -97,7 +109,6 @@ public:
 private:
     struct Node {
         std::uint32_t label = 0;
-        std::vector<float> point;
         /// links[l] = neighbor internal-ids at layer l; size() = level + 1.
         std::vector<std::vector<std::uint32_t>> links;
         /// in_degree[l] = number of edges pointing at this node at layer l.
@@ -118,20 +129,35 @@ private:
         }
     };
 
-    /// Per-query visited set: an epoch-stamped array (stamp[id] == epoch
-    /// means visited this query). Leased from a pool so concurrent queries
-    /// never share one and steady state allocates nothing.
+    /// Per-call search scratch: an epoch-stamped visited array (stamp[id]
+    /// == epoch means visited this layer), the two beam heaps, and the
+    /// call's distance count. Readers lease one from a pool so concurrent
+    /// queries never share one and steady state allocates nothing; the
+    /// writer owns its own.
     struct VisitTable {
         std::vector<std::uint32_t> stamp;
         std::uint32_t epoch = 0;
+        /// Min-heap by distance (std::greater): the frontier.
+        std::vector<Candidate> to_visit;
+        /// Max-heap by distance (std::less): the ef best so far. After
+        /// search_layer returns it holds them sorted ascending.
+        std::vector<Candidate> best;
+        /// One expanded node's unvisited neighbors and their distances.
+        std::vector<Candidate> fresh;
+        std::uint64_t distances = 0;
+
+        /// Starts a new stamp generation (a fresh, empty visited set).
+        std::uint32_t next_epoch();
+        [[nodiscard]] std::size_t capacity_bytes() const;
     };
 
     class VisitTablePool {
     public:
         /// Pops a free table (or makes one), sized for >= n nodes, with a
-        /// fresh epoch.
+        /// fresh epoch and a zero distance count.
         [[nodiscard]] VisitTable acquire(std::size_t n);
         void release(VisitTable&& table);
+        [[nodiscard]] std::size_t capacity_bytes();
 
     private:
         std::mutex mutex_;
@@ -150,50 +176,87 @@ private:
         VisitTable table;
     };
 
-    [[nodiscard]] float dist(std::span<const float> a,
-                             std::span<const float> b) const;
+    /// Buffers the writer reuses across upserts; touched only under the
+    /// exclusive phase lock, so steady-state upserts allocate nothing.
+    struct WriterScratch {
+        VisitTable visit;
+        std::vector<std::uint32_t> neighbors;  ///< wire_node's selection
+        std::vector<std::uint32_t> old_links;  ///< link: previous out-edges
+        std::vector<std::uint32_t> keep;       ///< link: last in-edges kept
+        std::vector<Candidate> cands;          ///< link: overflow candidates
+        std::vector<std::uint32_t> pruned;     ///< link: shrunk back-links
+    };
+
+    [[nodiscard]] const float* point(std::uint32_t id) const {
+        return points_.data() + static_cast<std::size_t>(id) * config_.dim;
+    }
+    [[nodiscard]] float* point(std::uint32_t id) {
+        return points_.data() + static_cast<std::size_t>(id) * config_.dim;
+    }
+    /// Squared L2 (monotone in L2; sqrt only at the API edge), counted
+    /// into the calling scratch.
+    [[nodiscard]] float dist(const float* a, const float* b,
+                             VisitTable& scratch) const {
+        ++scratch.distances;
+        return squared_l2_(a, b, config_.dim);
+    }
+    /// Prefetches the stored vector of `id` ahead of a distance.
+    void prefetch_point(std::uint32_t id) const;
+    /// Adds a finished call's distance count to the shared counter.
+    void publish_distances(VisitTable& scratch) const;
     [[nodiscard]] std::size_t random_level();
     [[nodiscard]] std::size_t max_links(std::size_t layer) const {
         return layer == 0 ? config_.M * 2 : config_.M;
     }
 
     /// Greedy descent on one layer: returns the closest node found.
-    [[nodiscard]] std::uint32_t greedy_closest(std::span<const float> query,
+    [[nodiscard]] std::uint32_t greedy_closest(const float* query,
                                                std::uint32_t entry,
-                                               std::size_t layer) const;
+                                               std::size_t layer,
+                                               VisitTable& scratch) const;
 
-    /// Beam search on one layer; returns up to `ef` candidates sorted
-    /// ascending by distance. `visited` is the caller's leased table.
-    [[nodiscard]] std::vector<Candidate> search_layer(
-        std::span<const float> query, std::uint32_t entry, std::size_t ef,
-        std::size_t layer, VisitTable& visited) const;
+    /// Beam search on one layer; leaves up to `ef` candidates in
+    /// `scratch.best`, sorted ascending by distance.
+    void search_layer(const float* query, std::uint32_t entry,
+                      std::size_t ef, std::size_t layer,
+                      VisitTable& scratch) const;
 
     /// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): keeps
     /// a candidate only if it is closer to the query than to every
-    /// already-kept neighbor, preserving graph navigability.
-    [[nodiscard]] std::vector<std::uint32_t> select_neighbors(
-        std::span<const float> query, std::vector<Candidate> candidates,
-        std::size_t m) const;
+    /// already-kept neighbor, preserving graph navigability. Sorts
+    /// `candidates` in place and writes the chosen ids to `selected`.
+    void select_neighbors(std::vector<Candidate>& candidates, std::size_t m,
+                          std::vector<std::uint32_t>& selected,
+                          VisitTable& scratch) const;
 
-    /// Connects `id` to `neighbors` bidirectionally at `layer`, shrinking
-    /// any neighbor that exceeds its link budget via the same heuristic.
-    void link(std::uint32_t id, std::span<const std::uint32_t> neighbors,
-              std::size_t layer);
+    /// Connects `id` to `writer_.neighbors` bidirectionally at `layer`,
+    /// shrinking any neighbor that exceeds its link budget via the same
+    /// heuristic.
+    void link(std::uint32_t id, std::size_t layer);
 
     /// (Re)wires the links of node `id` across all its layers, starting the
     /// descent from the current entry point. Shared by insert and update.
     void wire_node(std::uint32_t id);
 
+    /// upsert() under the held writer lock; leaves the call's distance
+    /// count in writer_.visit for upsert() to publish.
+    void upsert_locked(std::uint32_t label, std::span<const float> vec);
+
     HnswConfig config_;
     double level_lambda_;  // 1 / ln(M)
     util::Rng rng_;
+    /// The active squared-L2 kernel, resolved once at construction.
+    float (*squared_l2_)(const float*, const float*, std::size_t);
     std::vector<Node> nodes_;
+    /// Row `id` (config_.dim floats) is node id's vector.
+    std::vector<float> points_;
     std::unordered_map<std::uint32_t, std::uint32_t> label_to_id_;
     std::uint32_t entry_point_ = 0;
     std::size_t max_level_ = 0;
     bool empty_ = true;
     mutable std::atomic<std::uint64_t> dist_comps_{0};
     mutable VisitTablePool visit_pool_;
+    WriterScratch writer_;
     /// Reader/writer phase lock: queries shared, upserts exclusive.
     mutable std::shared_mutex phase_mutex_;
 };

@@ -563,6 +563,24 @@ void SsdBlockStore::erase(std::uint32_t id) {
     }
 }
 
+std::vector<std::uint32_t> SsdBlockStore::drop_oldest_sealed() {
+    std::vector<std::uint32_t> dropped;
+    const auto it = std::find_if(
+        segments_.begin(), segments_.end(),
+        [](const auto& entry) { return entry.second.sealed; });
+    if (it == segments_.end()) return dropped;
+    const std::uint64_t seq = it->first;
+    dropped.reserve(it->second.live);
+    for (const auto& [id, owner_seq] : owner_) {
+        if (owner_seq == seq) dropped.push_back(id);
+    }
+    for (std::uint32_t id : dropped) owner_.erase(id);
+    std::sort(dropped.begin(), dropped.end());
+    it->second.live = 0;
+    maybe_collect(seq);
+    return dropped;
+}
+
 bool SsdBlockStore::contains(std::uint32_t id) const {
     return owner_.find(id) != owner_.end();
 }

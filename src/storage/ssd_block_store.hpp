@@ -70,8 +70,9 @@ private:
 
 struct SsdBlockStoreConfig {
     std::string dir;
-    /// Soft byte budget; enforcement (via LRU eviction until whole
-    /// segments free up) is the owning SsdTier's job. 0 = unbounded.
+    /// Soft byte budget; enforcement (dropping the oldest sealed segment
+    /// whole, drop_oldest_sealed()) is the owning SsdTier's job.
+    /// 0 = unbounded.
     std::size_t capacity_bytes = 0;
     /// Segment rotation threshold. Small segments GC promptly; large ones
     /// amortize index/bloom overhead.
@@ -113,6 +114,13 @@ public:
     /// Marks `id` stale for GC accounting. Bytes stay on disk until the
     /// whole segment is stale, exactly like an LSM tombstone horizon.
     void erase(std::uint32_t id);
+
+    /// Drops the oldest sealed segment whole: every id it still holds
+    /// live leaves the store (returned, ascending) and the file is
+    /// deleted. Returns an empty list when no sealed segment exists. This
+    /// is the byte-budget eviction step — it frees a whole segment per
+    /// call instead of waiting for scattered erases to empty one.
+    std::vector<std::uint32_t> drop_oldest_sealed();
 
     /// Exact liveness check against the owner map (no bloom, no disk).
     [[nodiscard]] bool contains(std::uint32_t id) const;

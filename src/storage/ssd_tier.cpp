@@ -98,16 +98,19 @@ void SsdTier::enforce_byte_budget_locked() {
     if (!block_) return;
     const std::size_t cap = config_.capacity_mb << 20;
     if (cap == 0) return;
-    // Walk LRU victims until whole-segment GC frees enough. Only sealed
-    // segments can ever be reclaimed, so stop once none are left rather
-    // than evicting the world against an immovable active segment.
-    while (block_->bytes_used() > cap && block_->sealed_bytes() > 0 &&
-           lru_.size() > 0) {
-        const auto victim = lru_.peek_victim();
-        if (!victim.has_value()) break;
-        lru_.erase(*victim);
-        block_->erase(*victim);
-        notify_evict_locked(*victim);
+    // Drop the oldest sealed segment whole until usage is back under the
+    // budget: its live ids leave the LRU too. Evicting LRU victims one by
+    // one instead frees nothing until some segment happens to empty, and
+    // under a uniform stream that only happens once nearly every id is
+    // gone. Only sealed segments can be reclaimed, so the active segment
+    // is never touched.
+    while (block_->bytes_used() > cap && block_->sealed_bytes() > 0) {
+        const std::vector<std::uint32_t> dropped =
+            block_->drop_oldest_sealed();
+        for (std::uint32_t id : dropped) {
+            lru_.erase(id);
+            notify_evict_locked(id);
+        }
     }
 }
 

@@ -13,8 +13,9 @@
 //  - Block mode (config.path set): the tier delegates payload bytes to an
 //    on-disk SsdBlockStore (DESIGN.md §14). The LRU stays the
 //    recency/eviction index; the block store owns the bytes, and
-//    eviction additionally enforces the byte budget by walking LRU
-//    victims until whole-segment GC frees enough.
+//    eviction additionally enforces the byte budget by dropping the
+//    oldest sealed segment whole (its live ids leave the LRU too) until
+//    usage is back under the budget.
 //
 // Thread safety: the tier sits on the cache server's miss path, where the
 // event loop and any direct library users may touch it from different
@@ -45,8 +46,8 @@ struct SsdTierConfig {
     SimDuration read_latency = from_ms(0.08);
     /// Block mode: directory for segment files. Empty = residency model.
     std::string path;
-    /// Block mode byte budget (0 = unbounded). Enforced by evicting LRU
-    /// victims until whole-segment GC brings usage back under budget.
+    /// Block mode byte budget (0 = unbounded). Enforced by dropping the
+    /// oldest sealed segment whole until usage is back under budget.
     std::size_t capacity_mb = 0;
     /// Segment rotation threshold for the block store.
     std::size_t segment_mb = 4;

@@ -139,8 +139,12 @@ void relu_backward(const Matrix& x, const Matrix& dy, Matrix& dx) {
     const std::span<const float> xin = x.flat();
     const std::span<const float> grad = dy.flat();
     const std::span<float> out = dx.flat();
+    // Load both operands, then select: with the gradient read only when
+    // x > 0 the compiler keeps a data-dependent branch, which mispredicts
+    // on random signs; this form compiles to a vector compare-and-mask.
     for (std::size_t i = 0; i < xin.size(); ++i) {
-        out[i] = xin[i] > 0.0F ? grad[i] : 0.0F;
+        const float g = grad[i];
+        out[i] = xin[i] > 0.0F ? g : 0.0F;
     }
 }
 

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "ann/bruteforce.hpp"
 #include "ann/hnsw.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 
 namespace spider::ann {
@@ -373,6 +378,152 @@ TEST(Hnsw, ConcurrentKnnMatchesSerial) {
     // Search is deterministic per query, so the relaxed-atomic counter must
     // see exactly one pass worth of increments.
     EXPECT_EQ(delta_parallel, delta_serial);
+}
+
+struct ChurnTrace {
+    std::uint64_t hash = 0;
+    std::uint64_t distances = 0;
+};
+
+void normalize(std::vector<float>& p) {
+    double norm_sq = 0.0;
+    for (float x : p) norm_sq += static_cast<double>(x) * x;
+    const auto inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+    for (float& x : p) x *= inv;
+}
+
+// The SpiderCache access pattern in miniature: every round drifts every
+// embedding, re-upserts it, then asks each point for its neighbourhood.
+// Folds every label, the bit pattern of every distance and each node's
+// final layer-0 degree into one FNV-1a hash, so any change to the graph,
+// to a search's visiting order or to a distance shows up.
+ChurnTrace run_churn_trace(std::size_t dim) {
+    constexpr std::uint32_t kPopulation = 1500;
+    constexpr int kRounds = 4;
+    HnswConfig config;
+    config.dim = dim;
+    HnswIndex index{config};
+    util::Rng rng{2024};
+
+    std::vector<std::vector<float>> points;
+    points.reserve(kPopulation);
+    for (std::uint32_t i = 0; i < kPopulation; ++i) {
+        points.push_back(random_point(rng, dim, static_cast<double>(i % 6)));
+        normalize(points.back());
+        index.upsert(i, points.back());
+    }
+
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    const auto fold = [&hash](std::uint64_t word) {
+        hash = (hash ^ word) * 0x100000001B3ULL;
+    };
+    for (int round = 0; round < kRounds; ++round) {
+        for (std::uint32_t i = 0; i < kPopulation; ++i) {
+            for (float& x : points[i]) {
+                x += static_cast<float>(rng.normal(0.0, 0.15));
+            }
+            normalize(points[i]);
+            index.upsert(i, points[i]);
+        }
+        for (std::uint32_t i = 0; i < kPopulation; ++i) {
+            for (const Neighbor& nb : index.knn(points[i], 32, 48)) {
+                fold(nb.label);
+                fold(std::bit_cast<std::uint32_t>(nb.distance));
+            }
+        }
+    }
+    for (std::uint32_t i = 0; i < kPopulation; ++i) fold(index.degree(i));
+    return {hash, index.distance_computations()};
+}
+
+// Pins the exact graph work of upsert and knn: the expected values were
+// captured from the reference implementation, once per kernel table
+// (summation order differs between AVX2+FMA and the portable kernels, so
+// distances differ in their last bits). Dim 20 runs the kernels' tails.
+TEST(Hnsw, ChurnTraceMatchesParent) {
+    struct Expected {
+        std::size_t dim;
+        ChurnTrace avx2;
+        ChurnTrace portable;
+    };
+    const Expected cases[] = {
+        {32, {1312015727052646988ULL, 33577506},
+         {13872269119574883916ULL, 33577506}},
+        {20, {7318193598166290072ULL, 27684562},
+         {7657640348876915395ULL, 27684562}},
+    };
+    const bool avx2 = tensor::simd::avx2_active();
+    for (const Expected& c : cases) {
+        const ChurnTrace got = run_churn_trace(c.dim);
+        const ChurnTrace& want = avx2 ? c.avx2 : c.portable;
+        EXPECT_EQ(got.hash, want.hash) << "dim " << c.dim;
+        EXPECT_EQ(got.distances, want.distances) << "dim " << c.dim;
+    }
+}
+
+// One writer upserts (fresh labels and updates) while three readers run
+// knn: the phase lock must keep every answer well formed, and the shared
+// counter, bumped once per call, must equal the sum of what each call
+// reports for itself. Run under -DSPIDER_TSAN=ON to check the writer's
+// scratch and the counter for data races.
+TEST(Hnsw, ConcurrentUpsertAndKnnInterleave) {
+    constexpr std::size_t kDim = 16;
+    constexpr std::uint32_t kSeed = 400;
+    constexpr std::uint32_t kWrites = 600;
+    constexpr std::size_t kReaders = 3;
+    constexpr std::size_t kQueriesPerReader = 300;
+    constexpr std::size_t kK = 10;
+
+    HnswConfig config;
+    config.dim = kDim;
+    HnswIndex index{config};
+    util::Rng rng{83};
+    for (std::uint32_t i = 0; i < kSeed; ++i) {
+        index.upsert(i, random_point(rng, kDim, static_cast<double>(i % 4)));
+    }
+    std::vector<std::vector<float>> writes;
+    for (std::uint32_t w = 0; w < kWrites; ++w) {
+        writes.push_back(random_point(rng, kDim, static_cast<double>(w % 4)));
+    }
+    std::vector<std::vector<float>> queries;
+    for (std::size_t q = 0; q < kReaders * kQueriesPerReader; ++q) {
+        queries.push_back(random_point(rng, kDim, static_cast<double>(q % 4)));
+    }
+
+    const std::uint64_t before = index.distance_computations();
+    std::vector<std::uint64_t> reported(kReaders + 1, 0);
+    std::atomic<int> bad_answers{0};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+        for (std::uint32_t w = 0; w < kWrites; ++w) {
+            // Alternate fresh inserts with in-place updates.
+            const std::uint32_t label = w % 2 == 0 ? kSeed + w : w % kSeed;
+            index.upsert(label, writes[w]);
+            reported[kReaders] += HnswIndex::last_call_distance_computations();
+        }
+    });
+    for (std::size_t r = 0; r < kReaders; ++r) {
+        threads.emplace_back([&, r] {
+            for (std::size_t q = 0; q < kQueriesPerReader; ++q) {
+                const auto found =
+                    index.knn(queries[r * kQueriesPerReader + q], kK);
+                reported[r] += HnswIndex::last_call_distance_computations();
+                const bool sorted = std::is_sorted(
+                    found.begin(), found.end(),
+                    [](const Neighbor& a, const Neighbor& b) {
+                        return a.distance < b.distance;
+                    });
+                if (found.size() != kK || !sorted) ++bad_answers;
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(bad_answers.load(), 0);
+    std::uint64_t sum = 0;
+    for (std::uint64_t n : reported) sum += n;
+    EXPECT_GT(sum, 0U);
+    EXPECT_EQ(index.distance_computations() - before, sum);
 }
 
 }  // namespace

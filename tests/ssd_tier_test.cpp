@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -215,6 +216,47 @@ TEST(SsdTier, BlockModeByteBudgetEvictsLruUntilSegmentsFree) {
     EXPECT_LE(tier.bytes_used(), (1U << 20) + (1U << 20));
     // The newest ids survived (LRU-first eviction).
     EXPECT_TRUE(tier.fetch(95));
+}
+
+TEST(SsdTier, BlockModeByteBudgetKeepsResidencyUnderUniformStream) {
+    // A read-through stream of uniformly drawn ids against a 4-segment
+    // budget: hits touch ids in every segment, so LRU order and segment
+    // order disagree. Enforcing the budget must free whole segments
+    // without emptying the tier — residency may dip by about a segment
+    // at each collection, never below a quarter of what fits.
+    TempDir dir{"uniform_budget"};
+    SsdTierConfig config;
+    config.enabled = true;
+    config.capacity_items = 0;  // byte budget is the only limit
+    config.path = dir.path.string();
+    config.capacity_mb = 4;
+    config.segment_mb = 1;
+    SsdTier tier{config};
+
+    constexpr std::size_t kPayload = 1024;
+    constexpr std::uint32_t kUniverse = 12000;
+    // Record framing (len + crc + id) rides on top of the payload.
+    const std::size_t fits = (config.capacity_mb << 20) / (kPayload + 12);
+    const std::vector<std::uint8_t> payload(kPayload, 0x5A);
+    std::mt19937 rng{1234};
+    std::uniform_int_distribution<std::uint32_t> pick{0, kUniverse - 1};
+
+    std::size_t min_resident = std::numeric_limits<std::size_t>::max();
+    for (int op = 0; op < 24000; ++op) {
+        const std::uint32_t id = pick(rng);
+        if (!tier.fetch(id)) tier.insert(id, payload);
+        if (tier.block_stats().segments_collected > 0) {
+            min_resident = std::min(min_resident, tier.resident_items());
+        }
+    }
+    ASSERT_GT(tier.block_stats().segments_collected, 2U);
+    EXPECT_GE(min_resident, fits / 4);
+    EXPECT_LE(tier.bytes_used(), (config.capacity_mb + 1) << 20);
+    EXPECT_GT(tier.hits(), 0U);
+    // LRU and store agree on residency after all the whole-segment drops.
+    for (std::uint32_t id : tier.dump_residency()) {
+        ASSERT_TRUE(tier.fetch(id)) << id;
+    }
 }
 
 TEST(SsdTier, SimulatorAbsorbsRemoteFetches) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -130,6 +132,29 @@ TEST(Ops, ReluForwardBackward) {
     EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0F);  // x <= 0: gradient blocked
     EXPECT_FLOAT_EQ(dx.at(0, 1), 0.0F);
     EXPECT_FLOAT_EQ(dx.at(0, 2), 5.0F);
+
+    // A shape large enough to run the vectorized loop body and its tail,
+    // random signs, and both signed zeros in x and in the gradient: the
+    // result must match the element-wise definition bit for bit.
+    util::Rng rng{97};
+    Matrix big_x{37, 53};
+    Matrix big_dy{37, 53};
+    for (float& v : big_x.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : big_dy.flat()) v = static_cast<float>(rng.normal());
+    for (std::size_t i = 0; i < big_x.size(); i += 7) big_x.flat()[i] = 0.0F;
+    for (std::size_t i = 3; i < big_x.size(); i += 11) big_x.flat()[i] = -0.0F;
+    for (std::size_t i = 5; i < big_dy.size(); i += 13) {
+        big_dy.flat()[i] = -0.0F;
+    }
+    Matrix big_dx;
+    relu_backward(big_x, big_dy, big_dx);
+    ASSERT_EQ(big_dx.size(), big_x.size());
+    for (std::size_t i = 0; i < big_x.size(); ++i) {
+        const float want = big_x.flat()[i] > 0.0F ? big_dy.flat()[i] : 0.0F;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(big_dx.flat()[i]),
+                  std::bit_cast<std::uint32_t>(want))
+            << "element " << i;
+    }
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
