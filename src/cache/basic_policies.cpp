@@ -1,56 +1,171 @@
 #include "cache/basic_policies.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <utility>
 
 namespace spider::cache {
 
 // ---------------------------------------------------------------- LruCache
 
-LruCache::LruCache(std::size_t capacity) : capacity_{capacity} {}
+namespace {
+
+constexpr std::size_t kInitialBuckets = 16;
+
+}  // namespace
+
+LruCache::LruCache(std::size_t capacity)
+    : capacity_{capacity},
+      table_(kInitialBuckets, Bucket{0, kNil}),
+      shift_{64 - static_cast<unsigned>(std::countr_zero(kInitialBuckets))} {}
+
+std::size_t LruCache::home(std::uint32_t id) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+std::size_t LruCache::find(std::uint32_t id) const {
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t b = home(id);; b = (b + 1) & mask) {
+        const Bucket& bucket = table_[b];
+        if (bucket.slot == kNil) return table_.size();
+        if (bucket.id == id) return b;
+    }
+}
+
+void LruCache::insert(std::uint32_t id, std::uint32_t slot) {
+    if ((size_ + 1) * 2 > table_.size()) grow_table();
+    place(Bucket{id, slot});
+}
+
+void LruCache::place(Bucket bucket) {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t b = home(bucket.id);
+    while (table_[b].slot != kNil) b = (b + 1) & mask;
+    table_[b] = bucket;
+}
+
+void LruCache::erase_bucket(std::size_t bucket) {
+    // Backward-shift deletion: pull later members of the probe run into
+    // the hole when the hole lies between their home and where they sit,
+    // so lookups never need tombstones.
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = bucket;
+    for (std::size_t b = (hole + 1) & mask; table_[b].slot != kNil;
+         b = (b + 1) & mask) {
+        const std::size_t displacement = (b - home(table_[b].id)) & mask;
+        if (displacement >= ((b - hole) & mask)) {
+            table_[hole] = table_[b];
+            hole = b;
+        }
+    }
+    table_[hole].slot = kNil;
+}
+
+void LruCache::grow_table() {
+    const std::vector<Bucket> old = std::exchange(
+        table_, std::vector<Bucket>(table_.size() * 2, Bucket{0, kNil}));
+    --shift_;
+    for (const Bucket& bucket : old) {
+        if (bucket.slot != kNil) place(bucket);
+    }
+}
+
+void LruCache::unlink(std::uint32_t slot) {
+    const Node& node = nodes_[slot];
+    if (node.prev != kNil) {
+        nodes_[node.prev].next = node.next;
+    } else {
+        head_ = node.next;
+    }
+    if (node.next != kNil) {
+        nodes_[node.next].prev = node.prev;
+    } else {
+        tail_ = node.prev;
+    }
+}
+
+void LruCache::push_front(std::uint32_t slot) {
+    Node& node = nodes_[slot];
+    node.prev = kNil;
+    node.next = head_;
+    if (head_ != kNil) {
+        nodes_[head_].prev = slot;
+    } else {
+        tail_ = slot;
+    }
+    head_ = slot;
+}
+
+void LruCache::release(std::uint32_t slot) {
+    unlink(slot);
+    nodes_[slot].next = free_;
+    free_ = slot;
+    --size_;
+}
 
 bool LruCache::contains(std::uint32_t id) const {
-    return index_.contains(id);
+    return find(id) != table_.size();
 }
 
 bool LruCache::touch(std::uint32_t id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    order_.splice(order_.begin(), order_, it->second);
+    const std::size_t b = find(id);
+    if (b == table_.size()) return false;
+    const std::uint32_t slot = table_[b].slot;
+    if (slot != head_) {
+        unlink(slot);
+        push_front(slot);
+    }
     return true;
 }
 
 std::optional<std::uint32_t> LruCache::evict_lru() {
-    if (order_.empty()) return std::nullopt;
-    const std::uint32_t victim = order_.back();
-    order_.pop_back();
-    index_.erase(victim);
+    if (tail_ == kNil) return std::nullopt;
+    const std::uint32_t slot = tail_;
+    const std::uint32_t victim = nodes_[slot].id;
+    erase_bucket(find(victim));
+    release(slot);
     return victim;
 }
 
 std::optional<std::uint32_t> LruCache::admit(std::uint32_t id) {
-    if (capacity_ == 0 || index_.contains(id)) return std::nullopt;
+    if (capacity_ == 0 || contains(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
-    if (index_.size() >= capacity_) evicted = evict_lru();
-    order_.push_front(id);
-    index_.emplace(id, order_.begin());
+    if (size_ >= capacity_) evicted = evict_lru();
+    std::uint32_t slot = free_;
+    if (slot != kNil) {
+        free_ = nodes_[slot].next;
+        nodes_[slot].id = id;
+    } else {
+        if (nodes_.size() >= kNil) {
+            throw std::length_error{"LruCache: more than 2^32 - 1 residents"};
+        }
+        slot = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{id, kNil, kNil});
+    }
+    push_front(slot);
+    insert(id, slot);
+    ++size_;
     return evicted;
 }
 
 void LruCache::set_capacity(std::size_t capacity) {
     capacity_ = capacity;
-    while (index_.size() > capacity_) evict_lru();
+    while (size_ > capacity_) evict_lru();
 }
 
 std::optional<std::uint32_t> LruCache::peek_victim() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.back();
+    if (tail_ == kNil) return std::nullopt;
+    return nodes_[tail_].id;
 }
 
 bool LruCache::erase(std::uint32_t id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    order_.erase(it->second);
-    index_.erase(it);
+    const std::size_t b = find(id);
+    if (b == table_.size()) return false;
+    const std::uint32_t slot = table_[b].slot;
+    erase_bucket(b);
+    release(slot);
     return true;
 }
 

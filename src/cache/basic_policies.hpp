@@ -17,13 +17,19 @@
 
 namespace spider::cache {
 
-/// Least-recently-used: doubly-linked recency list + index map.
+/// Least-recently-used, with no per-item allocation once warm
+/// (DESIGN.md §13). Recency is a doubly linked list threaded through a
+/// node array by index; evicted and erased slots go on a free list for the
+/// next admit. Ids find their slot through an open-addressed table
+/// (Fibonacci hashing, linear probing, backward-shift deletion, load at
+/// most 1/2), so a touch is one probe plus a few index rewrites. The
+/// memory cache's LRU baseline and SsdTier's residency LRU both use it.
 class LruCache final : public EvictionCache {
 public:
     explicit LruCache(std::size_t capacity);
 
     [[nodiscard]] std::string name() const override { return "LRU"; }
-    [[nodiscard]] std::size_t size() const override { return index_.size(); }
+    [[nodiscard]] std::size_t size() const override { return size_; }
     [[nodiscard]] std::size_t capacity() const override { return capacity_; }
     [[nodiscard]] bool contains(std::uint32_t id) const override;
     bool touch(std::uint32_t id) override;
@@ -37,15 +43,49 @@ public:
     /// tier's residency dump (warm-restart snapshots) relies on it.
     template <typename Fn>
     void for_each_lru_first(Fn fn) const {
-        for (auto it = order_.rbegin(); it != order_.rend(); ++it) fn(*it);
+        for (std::uint32_t s = tail_; s != kNil; s = nodes_[s].prev) {
+            fn(nodes_[s].id);
+        }
     }
 
 private:
+    static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
+
+    /// One resident id; `prev` points toward the most recent end.
+    struct Node {
+        std::uint32_t id;
+        std::uint32_t prev;
+        std::uint32_t next;  // also links the free list
+    };
+    /// Table entry; slot == kNil marks an empty bucket.
+    struct Bucket {
+        std::uint32_t id;
+        std::uint32_t slot;
+    };
+
+    [[nodiscard]] std::size_t home(std::uint32_t id) const;
+    /// Bucket holding `id`, or table_.size() when absent.
+    [[nodiscard]] std::size_t find(std::uint32_t id) const;
+    void insert(std::uint32_t id, std::uint32_t slot);
+    /// Stores `bucket` at the first empty bucket of its probe run.
+    void place(Bucket bucket);
+    void erase_bucket(std::size_t bucket);
+    void grow_table();
+    void unlink(std::uint32_t slot);
+    void push_front(std::uint32_t slot);
+    /// Drops the node at `slot` from the list and frees it; its id must
+    /// already be out of the table.
+    void release(std::uint32_t slot);
     std::optional<std::uint32_t> evict_lru();
 
     std::size_t capacity_;
-    std::list<std::uint32_t> order_;  // front = most recent
-    std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator> index_;
+    std::size_t size_ = 0;
+    std::vector<Node> nodes_;
+    std::uint32_t head_ = kNil;  // most recently used
+    std::uint32_t tail_ = kNil;  // least recently used: the victim
+    std::uint32_t free_ = kNil;  // first free slot in nodes_
+    std::vector<Bucket> table_;  // power-of-two size
+    unsigned shift_ = 0;         // 64 - log2(table_.size())
 };
 
 /// Least-frequently-used with LRU tie-break inside a frequency bucket.

@@ -4,6 +4,11 @@
 
 namespace spider::nn {
 
+void Layer::backward_params(const tensor::Matrix& grad_output) {
+    tensor::Matrix discarded;
+    backward(grad_output, discarded);
+}
+
 void Layer::zero_grad() {
     for (ParamRef ref : params()) {
         ref.grad->zero();
@@ -28,9 +33,13 @@ void Linear::forward(const tensor::Matrix& input, tensor::Matrix& output) {
 void Linear::backward(const tensor::Matrix& grad_output,
                       tensor::Matrix& grad_input) {
     // dW += X^T @ dY ; db += column sums of dY ; dX = dY @ W^T.
-    tensor::Matrix dw;
-    tensor::matmul_at_b(cached_input_, grad_output, dw);
-    tensor::axpy(1.0F, dw, weight_grad_);
+    backward_params(grad_output);
+    tensor::matmul_a_bt(grad_output, weight_, grad_input);
+}
+
+void Linear::backward_params(const tensor::Matrix& grad_output) {
+    tensor::matmul_at_b(cached_input_, grad_output, dw_);
+    tensor::axpy(1.0F, dw_, weight_grad_);
 
     for (std::size_t i = 0; i < grad_output.rows(); ++i) {
         const std::span<const float> row = grad_output.row(i);
@@ -39,8 +48,6 @@ void Linear::backward(const tensor::Matrix& grad_output,
             bg[j] += row[j];
         }
     }
-
-    tensor::matmul_a_bt(grad_output, weight_, grad_input);
 }
 
 std::vector<ParamRef> Linear::params() {
@@ -116,17 +123,33 @@ void Sequential::forward(const tensor::Matrix& input, tensor::Matrix& output) {
 
 void Sequential::backward(const tensor::Matrix& grad_output,
                           tensor::Matrix& grad_input) {
+    backward_chain(grad_output, &grad_input);
+}
+
+void Sequential::backward_params(const tensor::Matrix& grad_output) {
+    backward_chain(grad_output, nullptr);
+}
+
+void Sequential::backward_chain(const tensor::Matrix& grad_output,
+                                tensor::Matrix* grad_input) {
     if (layers_.empty()) {
         throw std::logic_error{"Sequential::backward on empty stack"};
     }
-    grad_scratch_a_ = grad_output;
-    tensor::Matrix* incoming = &grad_scratch_a_;
-    tensor::Matrix* outgoing = &grad_scratch_b_;
-    for (std::size_t i = layers_.size(); i-- > 0;) {
+    // Intermediate gradients ping-pong between the two scratch matrices,
+    // which keep their storage from step to step.
+    const tensor::Matrix* incoming = &grad_output;
+    tensor::Matrix* outgoing = &grad_scratch_a_;
+    tensor::Matrix* spare = &grad_scratch_b_;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i) {
         layers_[i]->backward(*incoming, *outgoing);
-        std::swap(incoming, outgoing);
+        incoming = outgoing;
+        std::swap(outgoing, spare);
     }
-    grad_input = *incoming;
+    if (grad_input != nullptr) {
+        layers_[0]->backward(*incoming, *grad_input);
+    } else {
+        layers_[0]->backward_params(*incoming);
+    }
 }
 
 std::vector<ParamRef> Sequential::params() {

@@ -32,6 +32,12 @@ public:
     virtual void backward(const tensor::Matrix& grad_output,
                           tensor::Matrix& grad_input) = 0;
 
+    /// backward() for a caller with no use for dL/d(input) — the first
+    /// layer of a network, whose input is the data: accumulates parameter
+    /// gradients only. The default runs backward() into a throwaway;
+    /// layers whose input gradient costs real work override it.
+    virtual void backward_params(const tensor::Matrix& grad_output);
+
     /// Parameter/gradient pairs (empty for stateless layers).
     virtual std::vector<ParamRef> params() { return {}; }
 
@@ -50,6 +56,8 @@ public:
     void forward(const tensor::Matrix& input, tensor::Matrix& output) override;
     void backward(const tensor::Matrix& grad_output,
                   tensor::Matrix& grad_input) override;
+    /// dW and db only: skips the dY @ W^T input-gradient GEMM.
+    void backward_params(const tensor::Matrix& grad_output) override;
     std::vector<ParamRef> params() override;
 
     [[nodiscard]] std::size_t in_features() const { return weight_.rows(); }
@@ -63,6 +71,7 @@ private:
     tensor::Matrix weight_grad_;
     tensor::Matrix bias_grad_;
     tensor::Matrix cached_input_;
+    tensor::Matrix dw_;  // this step's X^T @ dY, reused across steps
 };
 
 class Relu : public Layer {
@@ -108,8 +117,11 @@ public:
     [[nodiscard]] std::size_t num_layers() const { return layers_.size(); }
 
     void forward(const tensor::Matrix& input, tensor::Matrix& output) override;
+    /// grad_input must not alias grad_output.
     void backward(const tensor::Matrix& grad_output,
                   tensor::Matrix& grad_input) override;
+    /// Runs the stack's backward with the first layer parameter-only.
+    void backward_params(const tensor::Matrix& grad_output) override;
     std::vector<ParamRef> params() override;
     void set_training(bool training) override;
 
@@ -117,6 +129,11 @@ public:
     [[nodiscard]] const tensor::Matrix& activation(std::size_t index) const;
 
 private:
+    /// Back through layers_[n-1..1], then layers_[0] into `grad_input`,
+    /// or parameter-only when it is null.
+    void backward_chain(const tensor::Matrix& grad_output,
+                        tensor::Matrix* grad_input);
+
     std::vector<std::unique_ptr<Layer>> layers_;
     std::vector<tensor::Matrix> activations_;  // activations_[i] = layer i output
     tensor::Matrix grad_scratch_a_;

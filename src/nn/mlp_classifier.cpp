@@ -71,24 +71,21 @@ void MlpClassifier::backward_and_step(
         throw std::logic_error{
             "MlpClassifier::backward_and_step without matching forward"};
     }
-    tensor::Matrix dlogits;
-    tensor::softmax_cross_entropy_backward(probs_, labels, dlogits);
-
+    if (!train_mask.empty() && train_mask.size() != labels.size()) {
+        throw std::invalid_argument{"train_mask size mismatch"};
+    }
+    tensor::softmax_cross_entropy_backward(probs_, labels, dlogits_);
     if (!train_mask.empty()) {
-        if (train_mask.size() != dlogits.rows()) {
-            throw std::invalid_argument{"train_mask size mismatch"};
-        }
-        for (std::size_t i = 0; i < dlogits.rows(); ++i) {
+        for (std::size_t i = 0; i < dlogits_.rows(); ++i) {
             if (train_mask[i] == 0) {
-                for (float& g : dlogits.row(i)) g = 0.0F;
+                for (float& g : dlogits_.row(i)) g = 0.0F;
             }
         }
     }
 
-    tensor::Matrix dembed;
-    head_.backward(dlogits, dembed);
-    tensor::Matrix dinput;
-    trunk_.backward(dembed, dinput);
+    head_.backward(dlogits_, dembed_);
+    // The input gradient of the first layer would be dL/d(data): unused.
+    trunk_.backward_params(dembed_);
     optimizer_.step();
 }
 

@@ -71,6 +71,10 @@ private:
     tensor::Matrix embeddings_;
     tensor::Matrix logits_;
     tensor::Matrix probs_;
+
+    // Backward workspaces, reused across steps.
+    tensor::Matrix dlogits_;
+    tensor::Matrix dembed_;
 };
 
 }  // namespace spider::nn

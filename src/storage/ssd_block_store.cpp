@@ -32,21 +32,6 @@ constexpr std::size_t kIndexEntryLen = 16;  // id | offset | frame_len
 /// a length prefix is a torn or corrupt frame, not a real record.
 constexpr std::uint32_t kMaxRecordPayload = 1U << 24;
 
-[[nodiscard]] std::string frame_record(std::uint32_t id,
-                                       std::span<const std::uint8_t> payload) {
-    std::string body;
-    body.reserve(4 + payload.size());
-    put<std::uint32_t>(body, id);
-    body.append(reinterpret_cast<const char*>(payload.data()),
-                payload.size());
-    std::string framed;
-    framed.reserve(body.size() + 8);
-    put<std::uint32_t>(framed, static_cast<std::uint32_t>(body.size()));
-    put<std::uint32_t>(framed, checksum32(body.data(), body.size()));
-    framed += body;
-    return framed;
-}
-
 /// Frame -> (id, bytes); nullopt on truncation / CRC mismatch.
 [[nodiscard]] std::optional<std::pair<std::uint32_t,
                                       std::vector<std::uint8_t>>>
@@ -173,8 +158,9 @@ void SsdBlockStore::start_segment(std::uint64_t seq) {
     Segment seg;
     seg.seq = seq;
     seg.path = segment_path(seq);
-    seg.bloom = BloomFilter{expected_keys(config_.segment_bytes),
-                            config_.bloom_bits_per_key};
+    const std::size_t keys = expected_keys(config_.segment_bytes);
+    seg.bloom = BloomFilter{keys, config_.bloom_bits_per_key};
+    seg.index.reserve(keys);
     std::string header;
     put<std::uint32_t>(header, kSegmentMagic);
     put<std::uint32_t>(header, kVersion);
@@ -209,6 +195,7 @@ void SsdBlockStore::recover_unsealed(Segment& seg) {
         seg.index[id] = RecordRef{
             static_cast<std::uint64_t>(off),
             static_cast<std::uint32_t>(8 + len)};
+        seg.ids.push_back(id);
         seg.bloom.add(id);
         off = cursor + len;
         valid = off;
@@ -242,9 +229,6 @@ void SsdBlockStore::open_dir() {
         }
     }
     std::sort(seqs.begin(), seqs.end());
-
-    // Transient per-segment id lists for the owner map (newest seq wins).
-    std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> id_sets;
 
     for (std::uint64_t seq : seqs) {
         const std::string path = segment_path(seq);
@@ -314,7 +298,7 @@ void SsdBlockStore::open_dir() {
                             seg.index_len = index_len;
                             seg.bloom = std::move(bloom);
                             stats_.recovered_records += ids.size();
-                            id_sets.emplace_back(seq, std::move(ids));
+                            seg.ids = std::move(ids);
                         }
                     }
                 }
@@ -324,11 +308,6 @@ void SsdBlockStore::open_dir() {
             seg.bloom = BloomFilter{expected_keys(config_.segment_bytes),
                                     config_.bloom_bits_per_key};
             recover_unsealed(seg);
-            std::vector<std::uint32_t> ids;
-            ids.reserve(seg.index.size());
-            for (const auto& [id, ref] : seg.index) ids.push_back(id);
-            std::sort(ids.begin(), ids.end());
-            id_sets.emplace_back(seq, std::move(ids));
         }
         total_bytes_ += seg.total_bytes;
         if (seg.sealed) sealed_bytes_ += seg.total_bytes;
@@ -336,8 +315,10 @@ void SsdBlockStore::open_dir() {
     }
 
     // Owner map: ascending seq, so the newest version of each id wins.
-    for (auto& [seq, ids] : id_sets) {
-        for (std::uint32_t id : ids) account_owner(id, seq);
+    // account_owner may collect an older, already-walked segment; erasing
+    // a std::map node leaves the walk's iterator valid.
+    for (const auto& [seq, seg] : segments_) {
+        for (const std::uint32_t id : seg.ids) account_owner(id, seq);
     }
 
     // Any unsealed segment except the newest is a past active segment cut
@@ -437,16 +418,19 @@ void SsdBlockStore::seal_locked(Segment& seg) {
     sealed_bytes_ += seg.total_bytes;
     seg.sealed = true;
     seg.bloom = std::move(bloom);  // exact key count replaces provisional
-    seg.index.clear();
+    // The on-disk index takes over; release the map's nodes and buckets.
+    decltype(seg.index){}.swap(seg.index);
+    seg.ids.shrink_to_fit();
     ++stats_.segments_sealed;
 }
 
 void SsdBlockStore::write(std::uint32_t id,
                           std::span<const std::uint8_t> payload) {
-    std::string frame = frame_record(id, payload);
+    // [u32 len][u32 crc] + [u32 id | payload]
+    const std::size_t frame_len = 8 + 4 + payload.size();
     Segment* act = &active_locked();
     if (!act->index.empty() &&
-        act->total_bytes + frame.size() > config_.segment_bytes) {
+        act->total_bytes + frame_len > config_.segment_bytes) {
         const std::uint64_t next = act->seq + 1;
         seal_locked(*act);
         maybe_collect(act->seq);
@@ -454,11 +438,17 @@ void SsdBlockStore::write(std::uint32_t id,
         act = &active_locked();
     }
     const RecordRef ref{act->file_bytes + act->pending.size(),
-                        static_cast<std::uint32_t>(frame.size())};
-    act->pending += frame;
-    act->total_bytes += frame.size();
-    total_bytes_ += frame.size();
+                        static_cast<std::uint32_t>(frame_len)};
+    // Framed straight into the buffered tail.
+    wire::append_frame(act->pending, [id, payload](std::string& body) {
+        put<std::uint32_t>(body, id);
+        body.append(reinterpret_cast<const char*>(payload.data()),
+                    payload.size());
+    });
+    act->total_bytes += frame_len;
+    total_bytes_ += frame_len;
     act->index[id] = ref;
+    act->ids.push_back(id);
     act->bloom.add(id);
     account_owner(id, act->seq);
     ++stats_.writes;
@@ -571,10 +561,16 @@ std::vector<std::uint32_t> SsdBlockStore::drop_oldest_sealed() {
     if (it == segments_.end()) return dropped;
     const std::uint64_t seq = it->first;
     dropped.reserve(it->second.live);
-    for (const auto& [id, owner_seq] : owner_) {
-        if (owner_seq == seq) dropped.push_back(id);
+    // Only ids written to this segment can be owned by it. Erasing each
+    // live one as it is found also skips the repeats of an id written
+    // here more than once.
+    for (const std::uint32_t id : it->second.ids) {
+        const auto owner = owner_.find(id);
+        if (owner != owner_.end() && owner->second == seq) {
+            dropped.push_back(id);
+            owner_.erase(owner);
+        }
     }
-    for (std::uint32_t id : dropped) owner_.erase(id);
     std::sort(dropped.begin(), dropped.end());
     it->second.live = 0;
     maybe_collect(seq);

@@ -20,8 +20,9 @@
 // pass the sealed segment's on-disk index block is read and binary
 // searched, then the record itself — both counted as disk reads so the
 // bench can show the bloom eliminating them. Sealed segments keep only
-// their bloom + index location in memory (true LSM behavior); the active
-// segment keeps its full index because it is still being built.
+// their bloom, index location and written-id list in memory (true LSM
+// behavior); the active segment keeps its full index because it is
+// still being built.
 //
 // Write path mirrors CacheWal: appends buffer in memory (the page-cache
 // analogy), flush() persists, drop_unflushed() simulates kill -9 by
@@ -171,9 +172,15 @@ private:
         std::uint64_t total_bytes = 0;
         /// Buffered unflushed appends (active segment only).
         std::string pending;
-        /// id -> newest record in this segment. Active segments only;
-        /// sealed segments drop it and rely on the on-disk index.
+        /// id -> newest record in this segment. Active segments only
+        /// (reserved when the segment starts); sealed segments drop it
+        /// and rely on the on-disk index.
         std::unordered_map<std::uint32_t, RecordRef> index;
+        /// Every id written to this segment, repeats included; recovery
+        /// refills it from the on-disk index or the record scan. The
+        /// owner map only ever points an id at a segment listing it, so
+        /// drop_oldest_sealed() walks this list, not the whole owner map.
+        std::vector<std::uint32_t> ids;
         /// On-disk index block location (sealed segments).
         std::uint64_t index_offset = 0;
         std::uint32_t index_len = 0;

@@ -31,23 +31,19 @@ void write_file(const std::string& path, const std::string& bytes,
 /// or corrupt length prefix, not a real record.
 constexpr std::uint32_t kMaxPayload = 1U << 20;
 
-[[nodiscard]] std::string serialize(const cache::ResidencyRecord& record) {
-    std::string payload;
-    payload.reserve(25 + record.neighbors.size() * 4);
-    put<std::uint8_t>(payload, static_cast<std::uint8_t>(record.op));
-    put<std::uint32_t>(payload, record.id);
-    put<double>(payload, record.score);
-    put<std::uint64_t>(payload, record.generation);
-    put<std::uint32_t>(payload,
-                       static_cast<std::uint32_t>(record.neighbors.size()));
-    for (std::uint32_t n : record.neighbors) put<std::uint32_t>(payload, n);
-
-    std::string framed;
-    framed.reserve(payload.size() + 8);
-    put<std::uint32_t>(framed, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(framed, checksum32(payload.data(), payload.size()));
-    framed += payload;
-    return framed;
+/// Appends `record`'s frame to `out`, framed in place.
+void append_record(std::string& out, const cache::ResidencyRecord& record) {
+    wire::append_frame(out, [&record](std::string& payload) {
+        put<std::uint8_t>(payload, static_cast<std::uint8_t>(record.op));
+        put<std::uint32_t>(payload, record.id);
+        put<double>(payload, record.score);
+        put<std::uint64_t>(payload, record.generation);
+        put<std::uint32_t>(
+            payload, static_cast<std::uint32_t>(record.neighbors.size()));
+        for (std::uint32_t n : record.neighbors) {
+            put<std::uint32_t>(payload, n);
+        }
+    });
 }
 
 [[nodiscard]] bool deserialize(const std::string& payload,
@@ -109,7 +105,7 @@ std::string CacheWal::snapshot_path() const {
 void CacheWal::append(const cache::ResidencyRecord& record) {
     if (!config_.enabled) return;
     const std::lock_guard lock{mu_};
-    pending_ += serialize(record);
+    append_record(pending_, record);
     ++appended_;
     if (config_.sync_every_append) {
         write_file(wal_path(), pending_, std::ios::app);
@@ -141,20 +137,20 @@ void CacheWal::compact(const cache::RestoreImage& image) {
         record.op = cache::ResidencyOp::kAdmitImportance;
         record.id = id;
         record.score = score;
-        bytes += serialize(record);
+        append_record(bytes, record);
     }
     for (const auto& [key, neighbors] : image.homophily) {
         record = {};
         record.op = cache::ResidencyOp::kAdmitHomophily;
         record.id = key;
         record.neighbors = neighbors;
-        bytes += serialize(record);
+        append_record(bytes, record);
     }
     for (std::uint32_t id : image.ssd) {
         record = {};
         record.op = cache::ResidencyOp::kSsdInsert;
         record.id = id;
-        bytes += serialize(record);
+        append_record(bytes, record);
     }
     // Tmp + rename so a crash mid-compaction keeps the old snapshot.
     const std::string tmp = snapshot_path() + ".tmp";

@@ -10,6 +10,7 @@
 // with the same SplitMix64-derived checksum, so a torn or corrupt tail is
 // detected identically in both files and the recovery scans share one
 // discipline: a bad frame ends replay, everything before it is intact.
+// Both write their frames through append_frame().
 
 #include <cstdint>
 #include <cstring>
@@ -50,6 +51,22 @@ void put(std::string& out, T value) {
     char bytes[sizeof(T)];
     std::memcpy(bytes, &value, sizeof(T));
     out.append(bytes, sizeof(T));
+}
+
+/// Appends one `[u32 len][u32 checksum32(body)][body]` frame to `out`
+/// in place: `write_body(out)` appends the body straight after an 8-byte
+/// placeholder, which is then patched with the body's length and
+/// checksum. The bytes equal framing a separately built body.
+template <typename WriteBody>
+void append_frame(std::string& out, WriteBody&& write_body) {
+    const std::size_t start = out.size();
+    out.append(8, '\0');
+    write_body(out);
+    const std::size_t body = start + 8;
+    const auto len = static_cast<std::uint32_t>(out.size() - body);
+    const std::uint32_t sum = checksum32(out.data() + body, len);
+    std::memcpy(out.data() + start, &len, sizeof(len));
+    std::memcpy(out.data() + start + 4, &sum, sizeof(sum));
 }
 
 template <typename T>

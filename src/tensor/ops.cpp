@@ -37,12 +37,19 @@ void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
     const std::size_t k = a.cols();
     const std::size_t n = b.rows();
     if (out.rows() != m || out.cols() != n) out = Matrix{m, n};
-    const auto dot = simd::active_kernels().dot;
+    // Four B rows per call share each A load; dot4's outputs are bit-equal
+    // to dot's, so the leftover rows take plain dot without a seam.
+    const simd::Kernels& kernels = simd::active_kernels();
+    const float* b_data = b.data();
     for (std::size_t i = 0; i < m; ++i) {
-        const float* a_row = a.row(i).data();
-        float* out_row = out.row(i).data();
-        for (std::size_t j = 0; j < n; ++j) {
-            out_row[j] = dot(a_row, b.row(j).data(), k);
+        const float* a_row = a.data() + i * k;
+        float* out_row = out.data() + i * n;
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            kernels.dot4(a_row, b_data + j * k, k, k, out_row + j);
+        }
+        for (; j < n; ++j) {
+            out_row[j] = kernels.dot(a_row, b_data + j * k, k);
         }
     }
 }

@@ -53,6 +53,13 @@ float dot_portable(const float* a, const float* b, std::size_t n) {
     return (acc0 + acc1) + (acc2 + acc3);
 }
 
+void dot4_portable(const float* a, const float* b, std::size_t ldb,
+                   std::size_t n, float* out) {
+    for (std::size_t r = 0; r < 4; ++r) {
+        out[r] = dot_portable(a, b + r * ldb, n);
+    }
+}
+
 void axpy_portable(float alpha, const float* x, float* y, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
         y[i] += alpha * x[i];
@@ -101,8 +108,8 @@ void gemm_acc_portable(std::size_t m, std::size_t n, std::size_t k,
 }
 
 constexpr Kernels kPortable{
-    "portable",         squared_l2_portable, dot_portable,
-    axpy_portable,      gemm_acc_portable,
+    "portable",    squared_l2_portable, dot_portable,
+    dot4_portable, axpy_portable,       gemm_acc_portable,
 };
 
 bool cpu_has_avx2_fma() {

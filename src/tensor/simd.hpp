@@ -31,6 +31,13 @@ struct Kernels {
     /// sum_i a[i] * b[i]
     float (*dot)(const float* a, const float* b, std::size_t n);
 
+    /// out[r] = dot(a, b + r * ldb, n) for r = 0..3: one A row against
+    /// four B rows, sharing each A load. Every output is bit-equal to the
+    /// same table's `dot` (same accumulator split, reduction order and
+    /// scalar tail), so callers may mix the two freely.
+    void (*dot4)(const float* a, const float* b, std::size_t ldb,
+                 std::size_t n, float* out);
+
     /// y[i] += alpha * x[i]
     void (*axpy)(float alpha, const float* x, float* y, std::size_t n);
 

@@ -13,6 +13,7 @@
 #include "nn/model_profile.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace spider::nn {
 namespace {
@@ -276,6 +277,125 @@ TEST(MlpClassifier, RejectsBadInputs) {
     const std::vector<std::uint32_t> labels = {0, 1};
     EXPECT_THROW(model.forward(wrong, labels), std::invalid_argument);
     EXPECT_THROW(model.backward_and_step(labels), std::logic_error);
+}
+
+// Bit-level fingerprint of a training trajectory: FNV-1a over the bit
+// patterns, so a one-ulp drift anywhere changes the hash.
+struct MlpTrace {
+    std::uint64_t embeddings = 14695981039346656037ULL;
+    std::uint64_t losses = 14695981039346656037ULL;
+};
+
+void fnv_mix(std::uint64_t& h, const void* data, std::size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        h = (h ^ bytes[i]) * 1099511628211ULL;
+    }
+}
+
+void record(const ForwardResult& fwd, MlpTrace& trace) {
+    fnv_mix(trace.embeddings, fwd.embeddings.data(),
+            fwd.embeddings.size() * sizeof(float));
+    fnv_mix(trace.losses, fwd.per_sample_loss.data(),
+            fwd.per_sample_loss.size() * sizeof(double));
+}
+
+// 20 SGD steps of the ResNet50-profile MLP (48 -> {96, 64, 48} -> 100
+// classes, batch 128), with one ragged 77-row batch (the backward
+// workspaces reshape down and back up) and one train_mask that zeroes
+// every third row. Every step's embeddings and per-sample losses, plus a
+// final probe forward that reads back the weights the run reached, are
+// folded into the trace.
+MlpTrace run_mlp_trace(double dropout) {
+    constexpr std::size_t kInput = 48;
+    constexpr std::uint64_t kClasses = 100;
+    MlpConfig config;
+    config.input_dim = kInput;
+    config.hidden_dims = {96, 64, 48};
+    config.num_classes = kClasses;
+    config.dropout = dropout;
+    config.seed = 53;
+    MlpClassifier model{config};
+
+    util::Rng rng{59};
+    const auto batch = [&rng](std::size_t rows, tensor::Matrix& x,
+                              std::vector<std::uint32_t>& labels) {
+        x = tensor::Matrix{rows, kInput};
+        x.randomize_normal(rng, 0.0F, 1.0F);
+        labels.resize(rows);
+        for (auto& label : labels) {
+            label = static_cast<std::uint32_t>(rng.uniform_index(kClasses));
+        }
+    };
+    MlpTrace trace;
+    tensor::Matrix x;
+    std::vector<std::uint32_t> labels;
+    for (int step = 0; step < 20; ++step) {
+        batch(step == 9 ? 77 : 128, x, labels);
+        record(model.forward(x, labels), trace);
+        std::vector<std::uint8_t> mask;
+        if (step == 13) {
+            mask.assign(labels.size(), 1);
+            for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
+        }
+        model.backward_and_step(labels, mask);
+    }
+    batch(32, x, labels);
+    record(model.forward(x, labels), trace);
+    return trace;
+}
+
+// Whether the AVX2 `dot` rounds its scalar-tail products before adding
+// them. GCC builds that tail `sum += a[i] * b[i]` either way: at -O2 it
+// contracts each step into one FMA, at -O0 and -O3 (where it vectorizes
+// the products first) it does not, so the AVX2 trajectory has one value
+// per build flavour. The probe runs the head layer's shape (k = 100: a
+// 4-float tail) with tail products -1 and (1 + 2^-12)^2, whose lowest bit
+// (2^-24) only a fused add keeps.
+bool avx2_tail_products_rounded() {
+    std::vector<float> a(100, 0.0F);
+    std::vector<float> b(100, 0.0F);
+    a[96] = -1.0F;
+    b[96] = 1.0F;
+    a[97] = b[97] = 1.0F + 0x1p-12F;
+    return tensor::simd::active_kernels().dot(a.data(), b.data(), 100) ==
+           0x1p-11F;
+}
+
+// Pins the training trajectory bit for bit: the backward-pass rework
+// (4-row dot kernel, skipped first-layer input gradient, reused
+// workspaces) must leave every weight exactly where the plain path put
+// it. Expected values were captured from the build before that rework:
+// under SPIDER_SIMD=scalar (one value for every build), and under the
+// AVX2 table from a Release build (tail products rounded, as at -O0)
+// and a RelWithDebInfo build (fused tail, -O2).
+TEST(MlpClassifier, TrajectoryMatchesParent) {
+    struct Expected {
+        double dropout;
+        MlpTrace avx2_rounded_tail;
+        MlpTrace avx2_fused_tail;
+        MlpTrace portable;
+    };
+    const Expected cases[] = {
+        {0.0,
+         {1223921320443022401ULL, 9126380893571058578ULL},
+         {8364232817240130186ULL, 14461891421090399219ULL},
+         {8436912718385217589ULL, 13427971551754774038ULL}},
+        {0.1,
+         {273740450014479758ULL, 722097754696108315ULL},
+         {8561310601751602453ULL, 5319666977816888262ULL},
+         {12682223427817284125ULL, 8630704504495975775ULL}},
+    };
+    const bool avx2 = tensor::simd::avx2_active();
+    const bool rounded = avx2_tail_products_rounded();
+    for (const Expected& c : cases) {
+        const MlpTrace got = run_mlp_trace(c.dropout);
+        const MlpTrace& want = !avx2 ? c.portable
+                               : rounded ? c.avx2_rounded_tail
+                                         : c.avx2_fused_tail;
+        EXPECT_EQ(got.embeddings, want.embeddings) << "dropout " << c.dropout;
+        EXPECT_EQ(got.losses, want.losses) << "dropout " << c.dropout;
+    }
 }
 
 TEST(ModelProfile, Table1ValuesPreserved) {

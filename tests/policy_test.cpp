@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/basic_policies.hpp"
@@ -894,6 +896,119 @@ TEST(SectionPolicySwitch, ConstructorValidatesPolicies) {
     const TwoLayerSemanticCache cache{10, 0.5, 1, false,
                                       {PolicyKind::kLfu, PolicyKind::kGdsf}};
     EXPECT_EQ(cache.section_policies().homophily, PolicyKind::kGdsf);
+}
+
+// Oracle for LruCache: the std::list + hash-map layout it replaced.
+class ListLru {
+public:
+    explicit ListLru(std::size_t capacity) : capacity_{capacity} {}
+
+    [[nodiscard]] std::size_t size() const { return index_.size(); }
+    [[nodiscard]] bool contains(std::uint32_t id) const {
+        return index_.contains(id);
+    }
+    bool touch(std::uint32_t id) {
+        const auto it = index_.find(id);
+        if (it == index_.end()) return false;
+        order_.splice(order_.begin(), order_, it->second);
+        return true;
+    }
+    std::optional<std::uint32_t> admit(std::uint32_t id) {
+        if (capacity_ == 0 || index_.contains(id)) return std::nullopt;
+        std::optional<std::uint32_t> evicted;
+        if (index_.size() >= capacity_) evicted = evict();
+        order_.push_front(id);
+        index_.emplace(id, order_.begin());
+        return evicted;
+    }
+    void set_capacity(std::size_t capacity) {
+        capacity_ = capacity;
+        while (index_.size() > capacity_) evict();
+    }
+    [[nodiscard]] std::optional<std::uint32_t> peek_victim() const {
+        if (order_.empty()) return std::nullopt;
+        return order_.back();
+    }
+    bool erase(std::uint32_t id) {
+        const auto it = index_.find(id);
+        if (it == index_.end()) return false;
+        order_.erase(it->second);
+        index_.erase(it);
+        return true;
+    }
+    [[nodiscard]] std::vector<std::uint32_t> lru_first() const {
+        return {order_.rbegin(), order_.rend()};
+    }
+
+private:
+    std::optional<std::uint32_t> evict() {
+        if (order_.empty()) return std::nullopt;
+        const std::uint32_t victim = order_.back();
+        order_.pop_back();
+        index_.erase(victim);
+        return victim;
+    }
+
+    std::size_t capacity_;
+    std::list<std::uint32_t> order_;  // front = most recent
+    std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>
+        index_;
+};
+
+// 200k random admit/touch/erase/set_capacity ops against the list oracle:
+// every return value, victim preview, size and the full LRU-first order
+// (the SSD tier's warm-restart dump) must agree. Half the ids are
+// multiples of 2^20..2^31 plus the extremes 0 and 0xFFFFFFFF, and the
+// cache runs near full, so probe runs are long and backward-shift
+// deletion moves entries across them, including around the table's end.
+TEST(LruDifferential, MatchesListReferenceUnderRandomOps) {
+    std::vector<std::uint32_t> pool;
+    for (std::uint32_t id = 0; id < 400; ++id) pool.push_back(id * 7 + 1);
+    for (unsigned shift = 20; shift < 32; ++shift) {
+        for (std::uint32_t k = 1; k <= 40; ++k) {
+            pool.push_back(static_cast<std::uint32_t>(
+                (static_cast<std::uint64_t>(k) << shift) & 0xFFFFFFFFULL));
+        }
+    }
+    pool.push_back(0);
+    pool.push_back(0xFFFFFFFFU);
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+
+    util::Rng rng{2024};
+    std::size_t capacity = 300;
+    LruCache lru{capacity};
+    ListLru ref{capacity};
+    const auto lru_first = [&lru] {
+        std::vector<std::uint32_t> ids;
+        lru.for_each_lru_first([&ids](std::uint32_t id) { ids.push_back(id); });
+        return ids;
+    };
+    for (int op = 0; op < 200'000; ++op) {
+        const std::uint32_t id = pool[rng.uniform_index(pool.size())];
+        const std::uint64_t kind = rng.uniform_index(100);
+        if (kind < 40) {
+            ASSERT_EQ(lru.touch(id), ref.touch(id)) << "op " << op;
+        } else if (kind < 78) {
+            ASSERT_EQ(lru.admit(id), ref.admit(id)) << "op " << op;
+        } else if (kind < 98) {
+            ASSERT_EQ(lru.erase(id), ref.erase(id)) << "op " << op;
+        } else {
+            // Mostly near-full sizes; now and then empty or tiny.
+            capacity = rng.uniform_index(10) == 0 ? rng.uniform_index(4)
+                                                  : 200 + rng.uniform_index(400);
+            lru.set_capacity(capacity);
+            ref.set_capacity(capacity);
+        }
+        ASSERT_EQ(lru.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(lru.peek_victim(), ref.peek_victim()) << "op " << op;
+        ASSERT_EQ(lru.contains(id), ref.contains(id)) << "op " << op;
+        if (op % 500 == 0) ASSERT_EQ(lru_first(), ref.lru_first()) << "op " << op;
+    }
+    EXPECT_EQ(lru_first(), ref.lru_first());
+    for (const std::uint32_t id : pool) {
+        EXPECT_EQ(lru.contains(id), ref.contains(id)) << id;
+    }
 }
 
 }  // namespace

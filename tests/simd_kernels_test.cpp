@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -52,6 +54,7 @@ TEST(SimdDispatch, TablesAreWellFormed) {
     EXPECT_NE(portable.name, nullptr);
     EXPECT_NE(active.squared_l2, nullptr);
     EXPECT_NE(active.dot, nullptr);
+    EXPECT_NE(active.dot4, nullptr);
     EXPECT_NE(active.axpy, nullptr);
     EXPECT_NE(active.gemm_acc, nullptr);
     // avx2_active() must agree with which table got picked.
@@ -175,6 +178,67 @@ TEST(SimdParity, ChainedGemmStaysWithinTolerance) {
             const float w = abc_ref.at(i, j);
             EXPECT_NEAR(abc.at(i, j), w,
                         1e-4F * std::max(1.0F, std::fabs(w)));
+        }
+    }
+}
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// dot4 against four dot calls of the same table, bit for bit, for every
+// length across the 8/16-float step boundaries and several B row strides
+// (tight, padded, odd); A and B start off vector alignment on purpose.
+void expect_dot4_matches_dot(const simd::Kernels& kernels) {
+    const std::size_t pads[] = {0, 1, 5, 16};
+    util::Rng rng{37};
+    for (std::size_t k = 1; k <= 130; ++k) {
+        for (const std::size_t pad : pads) {
+            const std::size_t ldb = k + pad;
+            const std::vector<float> a = random_vec(rng, k + 1);
+            const std::vector<float> b = random_vec(rng, 4 * ldb + 1);
+            float got[4];
+            kernels.dot4(a.data() + 1, b.data() + 1, ldb, k, got);
+            for (std::size_t r = 0; r < 4; ++r) {
+                const float want =
+                    kernels.dot(a.data() + 1, b.data() + 1 + r * ldb, k);
+                EXPECT_EQ(bits(got[r]), bits(want))
+                    << kernels.name << " k=" << k << " ldb=" << ldb
+                    << " row=" << r;
+            }
+        }
+    }
+}
+
+TEST(SimdBitExact, Dot4EqualsFourDotsActiveTable) {
+    expect_dot4_matches_dot(simd::active_kernels());
+}
+
+TEST(SimdBitExact, Dot4EqualsFourDotsPortableTable) {
+    expect_dot4_matches_dot(simd::portable_kernels());
+}
+
+// matmul_a_bt drives dot4 over groups of four B rows and dot over the
+// leftovers; n = 1..13 covers every remainder mod 4 several times, and
+// each element must equal a plain dot of its row pair bit for bit.
+TEST(SimdBitExact, MatmulABtEqualsPerElementDot) {
+    util::Rng rng{41};
+    const auto dot = simd::active_kernels().dot;
+    const std::size_t depths[] = {1, 7, 8, 16, 33, 100};
+    for (std::size_t n = 1; n <= 13; ++n) {
+        for (const std::size_t k : depths) {
+            const Matrix a = random_matrix(rng, 5, k);
+            const Matrix b = random_matrix(rng, n, k);
+            Matrix got;
+            matmul_a_bt(a, b, got);
+            ASSERT_EQ(got.rows(), 5U);
+            ASSERT_EQ(got.cols(), n);
+            for (std::size_t i = 0; i < a.rows(); ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    const float want = dot(a.row(i).data(), b.row(j).data(), k);
+                    EXPECT_EQ(bits(got.at(i, j)), bits(want))
+                        << "n=" << n << " k=" << k << " at (" << i << ","
+                        << j << ")";
+                }
+            }
         }
     }
 }

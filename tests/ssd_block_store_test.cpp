@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -302,6 +305,116 @@ TEST_F(SsdBlockStoreTest, ContainsTracksLivenessNotDiskBytes) {
     EXPECT_FALSE(store.contains(1));
     // Bytes may still sit in the active segment (LSM tombstone horizon);
     // liveness is the owner map's call, which is what the tier consults.
+}
+
+// drop_oldest_sealed() walks only the oldest segment's own id list. Ids
+// are rewritten across segments (stale entries in older lists), written
+// twice into one segment (repeats in one list) and erased; segments are
+// delimited by seal_active(), so a model owner map knows where each live
+// id sits. Every call must return exactly the ascending ids a brute-force
+// scan of that map gives, and the store must agree with a fresh reopen of
+// the directory. Run once as written and once after drop_unflushed(),
+// whose recovery rebuilds the lists from the on-disk indexes and scan.
+// Erases are not durable (the tier's WAL owns liveness), so a reopen
+// brings erased ids back from their newest segment.
+TEST_F(SsdBlockStoreTest, DropOldestSealedReturnsExactlyTheSegmentsLiveIds) {
+    for (const bool reopen : {false, true}) {
+        SCOPED_TRACE(reopen ? "after reopen" : "as written");
+        fs::remove_all(dir_);
+        SsdBlockStore store{config()};  // 4 MiB: no automatic rotation
+        std::map<std::uint32_t, std::uint64_t> owner;  // id -> segment seq
+        std::map<std::uint32_t, std::uint64_t> written;  // erases ignored
+        std::uint64_t seq = 1;
+        std::mt19937 rng{5};
+        for (std::uint32_t s = 0; s < 6; ++s) {
+            for (int w = 0; w < 60; ++w) {
+                const std::uint32_t id = rng() % 150;
+                store.write(id, payload_for(id));
+                owner[id] = written[id] = seq;
+            }
+            // Never rewritten or erased, so no segment is collected early.
+            const std::uint32_t twice = 1000 + s;
+            store.write(twice, payload_for(twice));
+            store.write(twice, payload_for(twice, 80));
+            owner[twice] = written[twice] = seq;
+            if (s == 3) {
+                for (std::uint32_t id = 0; id < 30; id += 3) {
+                    store.erase(id);
+                    owner.erase(id);
+                }
+            }
+            store.seal_active();
+            ++seq;
+        }
+        for (std::uint32_t id = 200; id < 210; ++id) {  // active: never dropped
+            store.write(id, payload_for(id));
+            owner[id] = written[id] = seq;
+        }
+        store.flush();
+        if (reopen) {
+            store.drop_unflushed();
+            owner = written;
+        }
+        ASSERT_EQ(store.live_items(), owner.size());
+
+        for (int call = 0;; ++call) {
+            std::uint64_t oldest = seq;  // the active segment's seq: none
+            for (const auto& [id, at] : owner) oldest = std::min(oldest, at);
+            std::vector<std::uint32_t> want;
+            for (const auto& [id, at] : owner) {
+                if (at == oldest && oldest != seq) want.push_back(id);
+            }
+            const std::vector<std::uint32_t> got = store.drop_oldest_sealed();
+            ASSERT_EQ(got, want) << "call " << call;
+            if (want.empty()) break;
+            for (const std::uint32_t id : want) owner.erase(id);
+            EXPECT_EQ(store.live_items(), owner.size());
+            const SsdBlockStore fresh{config()};
+            EXPECT_EQ(fresh.bytes_used(), store.bytes_used());
+            if (reopen) {  // as written, the erased ids would come back
+                EXPECT_EQ(fresh.live_items(), store.live_items());
+                EXPECT_EQ(fresh.live_ids(), store.live_ids());
+            }
+        }
+        EXPECT_EQ(store.sealed_bytes(), 0U);
+        EXPECT_EQ(store.live_items(), 10U);
+    }
+}
+
+std::string hex_of(const std::string& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        const auto b = static_cast<unsigned char>(c);
+        out += kDigits[b >> 4];
+        out += kDigits[b & 15];
+    }
+    return out;
+}
+
+// Pins the on-disk segment format byte for byte: header, two record
+// frames ([len][crc][id | payload]), the sealed index block and the
+// trailer. The expected bytes were captured before record framing moved
+// into wire::append_frame, so the change is provably format-neutral.
+TEST_F(SsdBlockStoreTest, SealedSegmentBytesMatchGolden) {
+    {
+        SsdBlockStore store{config()};
+        const std::vector<std::uint8_t> a = {1, 2, 3, 4, 5};
+        const std::vector<std::uint8_t> b = {0xFE, 0xED, 0xFA, 0xCE, 0x00,
+                                             0x11, 0x22, 0x33, 0x44};
+        store.write(0x0A0B0C0D, a);
+        store.write(7, b);
+        store.seal_active();
+    }
+    std::ifstream is{dir_ / "seg-000000000001.spb", std::ios::binary};
+    ASSERT_TRUE(is);
+    const std::string bytes{std::istreambuf_iterator<char>{is},
+                            std::istreambuf_iterator<char>{}};
+    EXPECT_EQ(hex_of(bytes),
+              "534250530100000001000000000000000900000036c7165c0d0c0b0a01020304"
+              "050d0000004a75eb1407000000feedface001122334402000000070000002100"
+              "000000000000150000000d0c0b0a1000000000000000110000002400000064ab"
+              "4e540dd0a15e");
 }
 
 }  // namespace

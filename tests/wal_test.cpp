@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -277,6 +278,53 @@ TEST_F(WalTest, SsdTierRoundTripsThroughListenerAndRestore) {
     before.insert(100);
     after.insert(100);
     EXPECT_EQ(after.dump_residency(), before.dump_residency());
+}
+
+std::string hex_of(const std::string& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        const auto b = static_cast<unsigned char>(c);
+        out += kDigits[b >> 4];
+        out += kDigits[b & 15];
+    }
+    return out;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+    std::ifstream is{path, std::ios::binary};
+    return {std::istreambuf_iterator<char>{is},
+            std::istreambuf_iterator<char>{}};
+}
+
+// Pins the log and snapshot formats byte for byte ([len][crc][payload]
+// per record). The expected bytes were captured before records were
+// framed in place by wire::append_frame, so the change is format-neutral.
+TEST_F(WalTest, LogAndSnapshotBytesMatchGolden) {
+    storage::CacheWal wal{config()};
+    wal.append({.op = ResidencyOp::kAdmitHomophily,
+                .id = 0x01020304,
+                .score = 0.75,
+                .generation = 9,
+                .neighbors = {5, 6, 0xFFFFFFFF}});
+    wal.append({.op = ResidencyOp::kSsdEvict, .id = 77});
+    wal.flush();
+    EXPECT_EQ(hex_of(file_bytes(wal.wal_path())),
+              "25000000fc6304b50404030201000000000000e83f0900000000000000030000"
+              "000500000006000000ffffffff19000000e10709fb074d000000000000000000"
+              "0000000000000000000000000000");
+
+    RestoreImage image;
+    image.importance = {{3, 0.5}};
+    image.homophily = {{4, {8, 9}}};
+    image.ssd = {12};
+    wal.compact(image);
+    EXPECT_EQ(hex_of(file_bytes(wal.snapshot_path())),
+              "19000000a50b8f7b0103000000000000000000e03f0000000000000000000000"
+              "0021000000d1945c3f0404000000000000000000000000000000000000000200"
+              "000008000000090000001900000071661b9d060c000000000000000000000000"
+              "0000000000000000000000");
+    EXPECT_EQ(file_bytes(wal.wal_path()), "");
 }
 
 }  // namespace

@@ -43,7 +43,8 @@
 #   tools/run_tier1.sh --policy   # additionally: ThreadSanitizer pass over
 #                                 # the eviction-policy seam and the shadow
 #                                 # tuner (DESIGN.md §13): policy parity
-#                                 # traces, live set_section_policies
+#                                 # traces, the LruCache differential
+#                                 # test, live set_section_policies
 #                                 # switches, tuner determinism, and the
 #                                 # ghost-replay-vs-live-traffic race
 #                                 # check, in build-tsan/
@@ -51,8 +52,11 @@
 #                                 # pass over the on-disk block store
 #                                 # (DESIGN.md §14): segment framing,
 #                                 # torn-tail/CRC recovery, bloom-guarded
-#                                 # reads, whole-segment GC, and the
-#                                 # tier/WAL restore drift fixes, in
+#                                 # reads, whole-segment GC and
+#                                 # segment-local eviction, golden on-disk
+#                                 # bytes, the tier/WAL restore drift
+#                                 # fixes, and the index-linked LruCache
+#                                 # the tier keeps residency in, in
 #                                 # build-asan/
 #   tools/run_tier1.sh --chaos    # additionally: ThreadSanitizer build of
 #                                 # the chaos/soak harness (DESIGN.md §12)
@@ -208,7 +212,7 @@ if [[ "$run_policy" == 1 ]]; then
     --target policy_test shadow_tuner_test cache_concurrency_test \
              cache_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent'
+    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|LruDifferential|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent'
 fi
 
 if [[ "$run_chaos" == 1 ]]; then
@@ -234,17 +238,19 @@ if [[ "$run_ssd" == 1 ]]; then
   # Heavy pointer/offset arithmetic (frame packing, index binary search,
   # preads at computed offsets) makes ASan the right sanitizer here; the
   # suite covers segment round trips, torn-tail + corrupt-CRC recovery,
-  # bloom FPR, GC, kill -9 payload durability, and the residency/WAL
-  # drift regressions (restore-streamed evictions, disabled-tier misses).
+  # bloom FPR, GC, segment-local eviction, golden on-disk bytes, kill -9
+  # payload durability, the residency/WAL drift regressions
+  # (restore-streamed evictions, disabled-tier misses), and the
+  # index-linked LruCache (slot and probe arithmetic) behind the tier.
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPIDER_ASAN=ON \
     -DSPIDER_BUILD_BENCH=OFF \
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j "$jobs" \
-    --target ssd_block_store_test ssd_tier_test wal_test
+    --target ssd_block_store_test ssd_tier_test wal_test policy_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'SsdBlockStore|SsdTier|WalTest'
+    -R 'SsdBlockStore|SsdTier|WalTest|LruDifferential|ShrinkOrder'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
